@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "common/varint.h"
 
@@ -86,6 +87,11 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
     WEBDEX_RETURN_IF_ERROR(store->RestoreTable(table));
   }
   WEBDEX_ASSIGN_OR_RETURN(uint64_t item_count, GetVarint64(data, offset));
+  // Items are written in strictly increasing (table, hash, range) order,
+  // so a repeated key cannot sneak in and be double-counted by the
+  // backends' RestoreItem bookkeeping (stored bytes, item counts).
+  std::string prev_table;
+  Item prev;
   for (uint64_t i = 0; i < item_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(data, offset));
     Item item;
@@ -106,7 +112,13 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
     if (!store->HasTable(table)) {
       return Status::Corruption("snapshot item references unknown table");
     }
+    if (i > 0 && std::tie(prev_table, prev.hash_key, prev.range_key) >=
+                     std::tie(table, item.hash_key, item.range_key)) {
+      return Status::Corruption("snapshot items duplicated or out of order");
+    }
     store->RestoreItem(table, item);
+    prev_table = std::move(table);
+    prev = std::move(item);
   }
   return Status::OK();
 }

@@ -425,7 +425,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
     // dies afterwards.  The stale postings stay behind for compaction,
     // and so does the stored object: a queued revival (an UPSERT at a
     // higher generation) may already have re-put it, so reclaiming the
-    // storage is the Compactor's call — made on the *folded* generation
+    // storage is compaction's call — made on the *folded* generation
     // state — never this task's.
     const Status put = index_store().BatchPut(
         instance, index::kMetaTable,
@@ -876,21 +876,30 @@ Result<QueryRunReport> Warehouse::ExecuteQueries(
   return report;
 }
 
-Result<ScrubReport> Warehouse::Scrub(bool repair) {
+Result<Maintenance> Warehouse::MaintenanceWalker(const char* job) {
+  if (!config_.use_index) {
+    return Status::FailedPrecondition(
+        StrFormat("%s requires an indexed warehouse", job));
+  }
+  return Maintenance(env_, retrying_store_.get(), strategy_.get(),
+                     config_.extract, config_.data_bucket);
+}
+
+Result<MaintenanceReport> Warehouse::Scrub(bool repair) {
+  WEBDEX_ASSIGN_OR_RETURN(Maintenance walker, MaintenanceWalker("scrubbing"));
   cloud::MeteredSpan pass_span(&env_->tracer(), &env_->meter(), front_end_,
                                "scrub.pass");
   pass_span.AddAttr("repair", repair ? 1 : 0);
   env_->metrics().GetCounter("engine.scrub.passes.count")->Add(1);
-  Scrubber scrubber(env_, retrying_store_.get(), strategy_.get(),
-                    config_.extract, config_.data_bucket);
-  return scrubber.Run(front_end_, repair, GenerationSnapshot().get());
+  return walker.Run(front_end_,
+                    repair ? MaintenanceMode::kRepair : MaintenanceMode::kAudit,
+                    GenerationSnapshot().get());
 }
 
-Result<CompactReport> Warehouse::Compact(bool full) {
-  if (!config_.use_index) {
-    return Status::FailedPrecondition(
-        "compaction requires an indexed warehouse");
-  }
+Result<MaintenanceReport> Warehouse::Compact(bool full) {
+  WEBDEX_ASSIGN_OR_RETURN(Maintenance walker, MaintenanceWalker("compaction"));
+  const MaintenanceMode mode =
+      full ? MaintenanceMode::kFull : MaintenanceMode::kGc;
   cloud::MeteredSpan pass_span(&env_->tracer(), &env_->meter(), front_end_,
                                "compact.pass");
   pass_span.AddAttr("full", full ? 1 : 0);
@@ -900,8 +909,6 @@ Result<CompactReport> Warehouse::Compact(bool full) {
   // boundary it checkpointed instead of restarting.
   std::string cursor = env_->maintenance().compact_cursor;
   pass_span.AddAttr("resumed", cursor.empty() ? 0 : 1);
-  Compactor compactor(env_, retrying_store_.get(), strategy_.get(),
-                      config_.extract, config_.data_bucket);
   auto should_crash = [this](const std::string& uri) {
     return ShouldCrash(cloud::CrashPoint::kMidCompaction, /*instance_id=*/0,
                        uri);
@@ -912,11 +919,13 @@ Result<CompactReport> Warehouse::Compact(bool full) {
   // failing on the first bad fault window.  Only a planned crash or a
   // non-retriable error ends the loop early.
   constexpr int kMaxSubPasses = 8;
-  CompactReport report;
+  MaintenanceReport report;
+  report.mode = mode;
   Status pass_error;
   Rng backoff_rng = Rng::ForKey(env_->config().seed, "wh:compact.backoff");
   for (int attempt = 1;; ++attempt) {
-    auto sub = compactor.Run(front_end_, full, cursor, should_crash);
+    auto sub = walker.Run(front_end_, mode, /*view=*/nullptr, cursor,
+                          should_crash);
     if (!sub.ok()) {
       // The opening scans faulted out before any URI work.
       if (!sub.status().IsRetriable() || attempt >= kMaxSubPasses) {
@@ -924,20 +933,7 @@ Result<CompactReport> Warehouse::Compact(bool full) {
         break;
       }
     } else {
-      report.documents_checked += sub.value().documents_checked;
-      report.items_scanned += sub.value().items_scanned;
-      report.items_put += sub.value().items_put;
-      report.items_deleted += sub.value().items_deleted;
-      for (auto& uri : sub.value().canonicalized_uris) {
-        report.canonicalized_uris.push_back(std::move(uri));
-      }
-      for (auto& uri : sub.value().collected_uris) {
-        report.collected_uris.push_back(std::move(uri));
-      }
-      report.crashed = sub.value().crashed;
-      report.faulted = sub.value().faulted;
-      report.fault = sub.value().fault;
-      report.resume_cursor = sub.value().resume_cursor;
+      report.Merge(std::move(sub).value());
       if (!report.faulted) break;
       if (attempt >= kMaxSubPasses) {
         pass_error = report.fault;

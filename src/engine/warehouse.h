@@ -22,11 +22,10 @@
 #include "common/rng.h"
 #include "cost/cost_model.h"
 #include "engine/admission.h"
-#include "engine/compactor.h"
 #include "engine/extraction_pipeline.h"
+#include "engine/maintenance.h"
 #include "engine/message.h"
 #include "engine/query_planner.h"
-#include "engine/scrubber.h"
 #include "index/generation.h"
 #include "index/strategy.h"
 #include "index/summary.h"
@@ -282,18 +281,20 @@ class Warehouse {
   // --- Maintenance ---------------------------------------------------------
 
   /// One scrub pass over this warehouse's index tables on the front
-  /// end's clock (billed).  With `repair`, missing/partial postings are
-  /// re-extracted and stale/orphaned ones deleted (engine/scrubber.h).
-  Result<ScrubReport> Scrub(bool repair);
+  /// end's clock (billed; engine/maintenance.h).  With `repair`,
+  /// missing/partial postings are re-extracted and stale/orphaned ones
+  /// deleted.  FailedPrecondition on a warehouse without an index.
+  Result<MaintenanceReport> Scrub(bool repair);
 
   /// One compaction pass over the mutable index on the front end's clock
-  /// (billed; engine/compactor.h).  `full` rewrites alive upserted
+  /// (billed; engine/maintenance.h).  `full` rewrites alive upserted
   /// documents to canonical generation-0 postings; otherwise only
   /// superseded generations and collected tombstones are dropped.
   /// Resumes from the cursor checkpointed in the cloud's maintenance
   /// state (snapshot v3), so a crash mid-pass — planned via CrashPoint
   /// kMidCompaction — picks up at the URI boundary after restore.
-  Result<CompactReport> Compact(bool full);
+  /// FailedPrecondition on a warehouse without an index.
+  Result<MaintenanceReport> Compact(bool full);
 
   /// Re-drives every dead-lettered message back onto its origin queue
   /// and returns how many were re-driven.  Run RunIndexers() /
@@ -354,6 +355,11 @@ class Warehouse {
   /// crashes at `point` while handling the task with body `task_key`.
   bool ShouldCrash(cloud::CrashPoint point, int instance_id,
                    const std::string& task_key);
+
+  /// The maintenance walker over this warehouse's index tables, or
+  /// FailedPrecondition naming `job` when the warehouse keeps no index —
+  /// checked before a pass opens its span or counts itself.
+  Result<Maintenance> MaintenanceWalker(const char* job);
 
   /// Allocates the next mutation generation from the cloud's maintenance
   /// watermark (monotone, persisted by snapshot v3).

@@ -8,17 +8,26 @@
 //
 // Regenerate deliberately with WEBDEX_UPDATE_GOLDEN=1 (the test then
 // rewrites the file and fails, so a stale run cannot silently pass).
+//
+// A second golden (tests/golden/maintenance.txt) pins the billed
+// maintenance walker the same way: every scrub and compaction mode run
+// over one damaged, mutated deployment, digested down to its trace,
+// usage, reports and final index.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "cloud/kv_store.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
+#include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
 
 namespace webdex::engine {
@@ -87,20 +96,27 @@ std::string BuildDump(StrategyKind strategy, int host_threads) {
   return DumpIndex(env->dynamodb());
 }
 
-std::string GoldenPath() {
+std::string GoldenPath(const std::string& file = "index_dumps.txt") {
   // __FILE__ is the absolute source path under CMake, so the golden file
   // lives next to this test regardless of the build directory.
   std::string path = __FILE__;
   path = path.substr(0, path.find_last_of('/'));
-  return path + "/golden/index_dumps.txt";
+  return path + "/golden/" + file;
 }
 
-std::map<std::string, std::string> ReadGolden() {
+std::map<std::string, std::string> ReadGolden(
+    const std::string& file = "index_dumps.txt") {
   std::map<std::string, std::string> golden;
-  std::ifstream in(GoldenPath());
+  std::ifstream in(GoldenPath(file));
   std::string strategy, digest;
   while (in >> strategy >> digest) golden[strategy] = digest;
   return golden;
+}
+
+std::string Digest(const std::string& bytes) {
+  return StrFormat("%016llx-%zu",
+                   static_cast<unsigned long long>(Fnv1a(bytes)),
+                   bytes.size());
 }
 
 TEST(DumpGoldenTest, SerializedIndexMatchesGoldenPerStrategy) {
@@ -112,9 +128,7 @@ TEST(DumpGoldenTest, SerializedIndexMatchesGoldenPerStrategy) {
     const std::string name = index::StrategyKindName(kind);
     const std::string dump = BuildDump(kind, /*host_threads=*/1);
     ASSERT_FALSE(dump.empty()) << name;
-    const std::string digest =
-        StrFormat("%016llx-%zu",
-                  static_cast<unsigned long long>(Fnv1a(dump)), dump.size());
+    const std::string digest = Digest(dump);
     regenerated << name << " " << digest << "\n";
     auto it = golden.find(name);
     if (update) continue;
@@ -162,6 +176,153 @@ TEST(DumpGoldenTest, SerialAndParallelDumpsAreByteIdentical) {
     ASSERT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel) << index::StrategyKindName(kind);
   }
+}
+
+/// Every Usage field, one "name=value" line each, doubles round-trippable.
+std::string RenderUsage(const cloud::Usage& usage) {
+  std::string out;
+  usage.ForEachField([&out](const char* name, auto value) {
+    out += StrFormat("%s=%.17g\n", name, static_cast<double>(value));
+  });
+  return out;
+}
+
+/// The maintenance oracle's damaged, mutated deployment: the scrubber
+/// suite's half-written 2LUPI index (the first mid-BatchPut page boundary
+/// crashes its instance and max_deliveries == 1 dead-letters the task),
+/// then two upserts and one delete committed on top.  The crash hook also
+/// cuts the first full compaction pass at its second URI boundary.
+struct MaintenanceDeployment {
+  std::unique_ptr<cloud::CloudEnv> env;
+  std::unique_ptr<Warehouse> warehouse;
+  std::shared_ptr<bool> arm_compaction_crash = std::make_shared<bool>(false);
+};
+
+MaintenanceDeployment DeployDamagedAndMutated() {
+  MaintenanceDeployment d;
+  d.env = std::make_unique<cloud::CloudEnv>();
+  auto page_crashes = std::make_shared<int>(1);
+  auto compaction_boundaries = std::make_shared<int>(0);
+  WarehouseConfig config;
+  config.strategy = StrategyKind::k2LUPI;
+  config.num_instances = 2;
+  config.max_deliveries = 1;
+  config.crash_plan = [page_crashes, compaction_boundaries,
+                       armed = d.arm_compaction_crash](
+                          cloud::CrashPoint point, int, const std::string&) {
+    if (point == cloud::CrashPoint::kBetweenBatchPutPages) {
+      if (*page_crashes == 0) return false;
+      --*page_crashes;
+      return true;
+    }
+    if (point != cloud::CrashPoint::kMidCompaction || !*armed) return false;
+    if (++*compaction_boundaries != 2) return false;
+    *armed = false;
+    return true;
+  };
+  d.warehouse = std::make_unique<Warehouse>(d.env.get(), config);
+  EXPECT_TRUE(d.warehouse->Setup().ok());
+  std::vector<xmark::GeneratedDocument> docs = xmark::GeneratePaintings();
+  xmark::GeneratorConfig corpus;
+  corpus.num_documents = 8;
+  corpus.entities_per_document = 6;
+  for (auto& doc : xmark::XmarkGenerator(corpus).GenerateAll()) {
+    docs.push_back(std::move(doc));
+  }
+  for (const auto& doc : docs) {
+    EXPECT_TRUE(d.warehouse->SubmitDocument(doc.uri, doc.text).ok());
+  }
+  auto built = d.warehouse->RunIndexers();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(*page_crashes, 0) << "corpus no longer produces multi-page uploads";
+  EXPECT_TRUE(built.ok() && built.value().dead_lettered >= 1);
+
+  // Mutations: the two upserts replace a document with another one's
+  // text; the delete tombstones a third.
+  const size_t n = docs.size();
+  EXPECT_TRUE(d.warehouse->UpsertDocument(docs[n - 1].uri, docs[0].text).ok());
+  EXPECT_TRUE(d.warehouse->UpsertDocument(docs[n - 2].uri, docs[1].text).ok());
+  EXPECT_TRUE(d.warehouse->DeleteDocument(docs[n - 3].uri).ok());
+  auto mutated = d.warehouse->RunIndexers();
+  EXPECT_TRUE(mutated.ok()) << mutated.status().ToString();
+  return d;
+}
+
+/// Runs every maintenance mode in sequence — audit, repair, GC, a full
+/// pass cut by a planned mid-compaction crash, and its resumption — and
+/// returns "<step>.<component> <digest>" golden lines.  Per step the
+/// digest covers the report's rendering, the step's Usage delta, its
+/// canonical trace and the maintenance counters; the run ends with the
+/// index fingerprint and the whole run's Usage.
+std::map<std::string, std::string> RunMaintenanceOracle() {
+  MaintenanceDeployment d = DeployDamagedAndMutated();
+  cloud::CloudEnv& env = *d.env;
+  Warehouse& warehouse = *d.warehouse;
+  env.tracer().set_enabled(true);
+  const cloud::Usage start = env.meter().Snapshot();
+  std::map<std::string, std::string> lines;
+  const auto record = [&](const std::string& step, auto&& run) {
+    env.tracer().Clear();
+    const cloud::Usage before = env.meter().Snapshot();
+    auto report = run();
+    EXPECT_TRUE(report.ok()) << step << ": " << report.status().ToString();
+    lines[step + ".report"] =
+        Digest(report.ok() ? report.value().ToString()
+                           : report.status().ToString());
+    lines[step + ".usage"] =
+        Digest(RenderUsage(env.meter().Snapshot() - before));
+    lines[step + ".trace"] = Digest(env.tracer().Canonical());
+    std::string counters;
+    for (const char* name :
+         {"engine.scrub.passes.count", "index.compact.passes.count",
+          "index.compact.gc_items.count", "index.compact.canonicalized.count",
+          "index.tombstone.collected.count"}) {
+      counters += StrFormat("%s=%llu\n", name,
+                            static_cast<unsigned long long>(
+                                env.metrics().CounterValue(name)));
+    }
+    counters += "cursor=" + env.maintenance().compact_cursor + "\n";
+    lines[step + ".counters"] = Digest(counters);
+    return report;
+  };
+  record("1_audit", [&] { return warehouse.Scrub(/*repair=*/false); });
+  record("2_repair", [&] { return warehouse.Scrub(/*repair=*/true); });
+  record("3_gc", [&] { return warehouse.Compact(/*full=*/false); });
+  *d.arm_compaction_crash = true;
+  auto crashed =
+      record("4_full_crash", [&] { return warehouse.Compact(/*full=*/true); });
+  EXPECT_TRUE(crashed.ok() && crashed.value().crashed);
+  EXPECT_FALSE(env.maintenance().compact_cursor.empty());
+  auto resumed =
+      record("5_full_resume", [&] { return warehouse.Compact(/*full=*/true); });
+  EXPECT_TRUE(resumed.ok() && !resumed.value().crashed);
+  EXPECT_TRUE(env.maintenance().compact_cursor.empty());
+  EXPECT_TRUE(warehouse.GenerationSnapshot()->empty());
+  lines["6_final.fingerprint"] = StrFormat(
+      "%016llx", static_cast<unsigned long long>(
+                     cloud::FingerprintStore(warehouse.index_store())));
+  lines["6_final.usage"] = Digest(RenderUsage(env.meter().Snapshot() - start));
+  return lines;
+}
+
+// Equivalence oracle for the maintenance walker: scrub and compaction
+// make the same billed calls, in the same order, with the same results,
+// as when the golden was recorded.  Regenerate only for an intended
+// behaviour change, with WEBDEX_UPDATE_GOLDEN=1.
+TEST(DumpGoldenTest, MaintenanceModesMatchGolden) {
+  const bool update = std::getenv("WEBDEX_UPDATE_GOLDEN") != nullptr;
+  const std::string file = "maintenance.txt";
+  const auto lines = RunMaintenanceOracle();
+  if (update) {
+    std::ofstream out(GoldenPath(file), std::ios::trunc);
+    ASSERT_TRUE(out.good()) << GoldenPath(file);
+    for (const auto& [key, digest] : lines) out << key << " " << digest << "\n";
+    FAIL() << "golden regenerated at " << GoldenPath(file)
+           << " — rerun without WEBDEX_UPDATE_GOLDEN";
+  }
+  EXPECT_EQ(ReadGolden(file), lines)
+      << "maintenance behaviour changed. If intentional, regenerate with "
+      << "WEBDEX_UPDATE_GOLDEN=1 and commit.";
 }
 
 }  // namespace

@@ -91,6 +91,42 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
   EXPECT_TRUE(RestoreSnapshot(snapshot + "x", &fresh).IsCorruption());
 }
 
+// Item records must arrive in the strictly increasing (table, hash,
+// range) order SerializeSnapshot writes: a repeated key would otherwise
+// restore "OK" with stored bytes and item counts double-counted.
+TEST(SnapshotTest, RejectsDuplicateAndUnorderedItems) {
+  CloudEnv env;
+  Agent agent;
+  ASSERT_TRUE(env.dynamodb().CreateTable(agent, "idx").ok());
+  ASSERT_TRUE(env.dynamodb()
+                  .BatchPut(agent, "idx",
+                            {Item{"k1", "r1", {{"u", {"v"}}}},
+                             Item{"k2", "r2", {{"u", {"v"}}}}})
+                  .ok());
+  const std::string snapshot = SerializeSnapshot(env);
+  // The two item records as SerializeKvStore encodes them (one-byte
+  // varint lengths and counts), preceded by the item count.
+  const std::string a("\x03idx\x02k1\x02r1\x01\x01u\x01\x01v", 16);
+  const std::string b("\x03idx\x02k2\x02r2\x01\x01u\x01\x01v", 16);
+  const std::string items = "\x02" + a + b;
+  const size_t at = snapshot.find(items);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(snapshot.find(items, at + 1), std::string::npos);
+
+  CloudEnv restored;
+  ASSERT_TRUE(RestoreSnapshot(snapshot, &restored).ok());
+  EXPECT_EQ(restored.dynamodb().ItemCount("idx"), 2u);
+  EXPECT_EQ(restored.dynamodb().StoredBytes("idx"),
+            env.dynamodb().StoredBytes("idx"));
+
+  for (const std::string& tampered : {"\x02" + a + a, "\x02" + b + a}) {
+    std::string image = snapshot;
+    image.replace(at, items.size(), tampered);
+    CloudEnv target;
+    EXPECT_TRUE(RestoreSnapshot(image, &target).IsCorruption());
+  }
+}
+
 TEST(SnapshotTest, RefusesNonEmptyTarget) {
   CloudEnv env;
   const std::string snapshot = SerializeSnapshot(env);

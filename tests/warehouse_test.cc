@@ -118,6 +118,31 @@ TEST(WarehouseTest, RunIndexersWithoutIndexFails) {
   EXPECT_TRUE(setup.warehouse->RunIndexers().status().IsFailedPrecondition());
 }
 
+// Maintenance walks index tables, so a warehouse without any fails both
+// entry points up front: no pass span, no pass counter, nothing billed.
+TEST(WarehouseTest, MaintenanceWithoutIndexFails) {
+  WarehouseConfig config;
+  config.use_index = false;
+  Harness setup = MakeWarehouse(config);
+  setup.env->tracer().set_enabled(true);
+  const cloud::Usage before = setup.env->meter().Snapshot();
+  for (const bool flag : {false, true}) {
+    EXPECT_TRUE(setup.warehouse->Scrub(flag).status().IsFailedPrecondition());
+    EXPECT_TRUE(
+        setup.warehouse->Compact(flag).status().IsFailedPrecondition());
+  }
+  EXPECT_TRUE(setup.env->tracer().spans().empty());
+  EXPECT_EQ(setup.env->metrics().CounterValue("engine.scrub.passes.count"),
+            0u);
+  EXPECT_EQ(setup.env->metrics().CounterValue("index.compact.passes.count"),
+            0u);
+  EXPECT_DOUBLE_EQ(
+      setup.env->meter()
+          .ComputeBill(setup.env->meter().Snapshot() - before)
+          .total(),
+      0.0);
+}
+
 TEST(WarehouseTest, DeterministicAcrossRuns) {
   auto run = [] {
     WarehouseConfig config;

@@ -11,10 +11,11 @@ Checks (docs/OBSERVABILITY.md):
   * a one-shot trace emits well-formed JSONL: ordinal ids, parents that
     precede their children, end >= start, non-negative `usd` attrs, and
     parent usd covering the sum of its children's;
-  * a scripted mutable-corpus session (upsert + delete + compact --full,
-    docs/MUTABILITY.md) emits a `compact.pass` span whose JSONL obeys the
-    same invariants — in particular the pass's usd covers the billed sum
-    of its child retry spans;
+  * a scripted mutable-corpus session (upsert + delete, then the GC-only
+    `compact` and `compact --full`, docs/MUTABILITY.md) emits one
+    `compact.pass` span per pass whose JSONL obeys the same invariants —
+    in particular each pass's usd covers the billed sum of its child
+    retry spans;
   * every `admission.*` / `autoscale.*` span obeys the overload taxonomy
     (docs/OVERLOAD.md): only the documented names, each with its required
     attrs, `admission.shed` spans never billed (shed queries do no loser
@@ -223,13 +224,28 @@ def lint_trace_jsonl(path, label="trace"):
     return spans
 
 
+def lint_compact_pass(spans, full):
+    passes = [s for s in spans if s["name"] == "compact.pass"]
+    if len(passes) != 1:
+        fail(f"expected exactly one compact.pass span, got {len(passes)}")
+        return
+    attrs = passes[0].get("attrs", {})
+    if attrs.get("usd", 0.0) <= 0:
+        fail("compact.pass span is unbilled (usd <= 0)")
+    if attrs.get("full") != full:
+        fail(f"compact pass span does not carry attr full={full}")
+
+
 def lint_compact_trace(binary):
     """Drives a mutable-corpus script session and lints the compact.pass
-    span: present, billed (positive usd), and obeying the generic
-    parent-covers-children usd invariant like every other span."""
+    span of its GC-only pass and of its full pass: each present, billed
+    (positive usd), and obeying the generic parent-covers-children usd
+    invariant like every other span."""
     with tempfile.NamedTemporaryFile(
         suffix=".jsonl"
-    ) as jsonl, tempfile.NamedTemporaryFile(
+    ) as gc_jsonl, tempfile.NamedTemporaryFile(
+        suffix=".jsonl"
+    ) as full_jsonl, tempfile.NamedTemporaryFile(
         mode="w", suffix=".webdex"
     ) as script:
         script.write(
@@ -240,20 +256,17 @@ def lint_compact_trace(binary):
             "upsert xmark-000003.xml\n"
             "delete xmark-000005.xml\n"
             "index\n"
-            f"compact --full --jsonl {jsonl.name}\n"
+            f"compact --jsonl {gc_jsonl.name}\n"
+            f"compact --full --jsonl {full_jsonl.name}\n"
         )
         script.flush()
         run(binary, script.name)
-        spans = lint_trace_jsonl(jsonl.name, label="compact trace")
-    passes = [s for s in spans if s["name"] == "compact.pass"]
-    if len(passes) != 1:
-        fail(f"expected exactly one compact.pass span, got {len(passes)}")
-        return
-    attrs = passes[0].get("attrs", {})
-    if attrs.get("usd", 0.0) <= 0:
-        fail("compact.pass span is unbilled (usd <= 0)")
-    if attrs.get("full") != 1:
-        fail("compact --full span does not carry attr full=1")
+        gc_spans = lint_trace_jsonl(gc_jsonl.name, label="compact trace")
+        full_spans = lint_trace_jsonl(
+            full_jsonl.name, label="compact --full trace"
+        )
+    lint_compact_pass(gc_spans, full=0)
+    lint_compact_pass(full_spans, full=1)
 
 
 def lint_autoscaled_session(binary):
@@ -404,8 +417,8 @@ def main():
         sys.exit(1)
     print(
         f"trace_lint: {len(names)} metric names clean, trace JSONL clean, "
-        "compact.pass clean, autoscaled session clean, sharded session "
-        "clean"
+        "compact.pass clean (gc + full), autoscaled session clean, "
+        "sharded session clean"
     )
 
 
