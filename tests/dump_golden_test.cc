@@ -13,22 +13,34 @@
 // maintenance walker the same way: every scrub and compaction mode run
 // over one damaged, mutated deployment, digested down to its trace,
 // usage, reports and final index.
+//
+// A third golden (tests/golden/query_rows.txt) pins the DOM evaluator:
+// the rows, row URIs and work stats of every bench template and a set of
+// nested-descendant and attribute patterns over three small corpora.
+// The no-index answers the benchmark checks the warehouse against come
+// from this evaluator, so only a golden can catch a bug in it.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/kv_store.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
+#include "query/evaluator.h"
+#include "query/parser.h"
 #include "xmark/paintings.h"
 #include "xmark/xmark_generator.h"
+#include "xml/parser.h"
 
 namespace webdex::engine {
 namespace {
@@ -322,6 +334,163 @@ TEST(DumpGoldenTest, MaintenanceModesMatchGolden) {
   }
   EXPECT_EQ(ReadGolden(file), lines)
       << "maintenance behaviour changed. If intentional, regenerate with "
+      << "WEBDEX_UPDATE_GOLDEN=1 and commit.";
+}
+
+/// The ten query templates of bench/harness.h Workload(), verbatim.
+const std::vector<std::string>& BenchTemplates() {
+  static const std::vector<std::string> queries = {
+      "//regions//item[/@id='item42', //name:val]",
+      "//closed_auction[/annotation:cont, "
+      "/annotation/description~'amber']",
+      "//item[/name:val, /mailbox/mail/from:val, "
+      "/description~'lantern']",
+      "//open_auctions/open_auction[/initial:val, /reserve, /privacy, "
+      "/annotation/description~'obelisk']",
+      "//person[/name:val, /address[/city='Paris'], /creditcard]",
+      "//open_auction[/annotation/description~'gossamer', /seller]",
+      "//item[/description/name:val]",
+      "//open_auction[/seller/@person#s, /initial:val, "
+      "/annotation/description~'marble']; "
+      "//people/person[/@id#p, /name:val] where #s=#p",
+      "//closed_auction[/itemref/@item#i, /price:val, "
+      "/annotation/description~'laurel']; "
+      "//regions//item[/@id#j, //name:val] where #i=#j",
+      "//person[/watches/watch/@open_auction#w, /name:val, "
+      "/address/country='France']; "
+      "//open_auction[/@id#a, /current:val] where #w=#a",
+  };
+  return queries;
+}
+
+/// Patterns beyond the bench templates: same-label descendants nested
+/// in each other, attribute roots, a root-anchored path and a range
+/// predicate.
+const std::vector<std::string>& ExtraQueries() {
+  static const std::vector<std::string> queries = {
+      "//parlist//listitem:val",
+      "//listitem[/parlist//listitem//keyword:val]",
+      "//parlist[//parlist:cont]",
+      "//@id:val",
+      "/site//people/person/name:val",
+      "//open_auction[/initial:val in(10,60], /current:val]",
+      "//listitem[/@id:val, //keyword:val in[0,50)]",
+  };
+  return queries;
+}
+
+/// A seeded corpus of XMark-style descriptions whose parlists nest up to
+/// three deep, so `//parlist//listitem` has many overlapping embeddings.
+std::vector<xmark::GeneratedDocument> NestedListCorpus() {
+  Rng rng(4242);
+  std::function<std::string(int)> parlist = [&](int depth) {
+    std::string out = "<parlist>";
+    const int items = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int i = 0; i < items; ++i) {
+      out += StrFormat("<listitem id=\"li%llu\">",
+                       static_cast<unsigned long long>(rng.NextBelow(40)));
+      if (rng.NextBool(0.6)) {
+        out += StrFormat("<text>word <keyword>%llu</keyword></text>",
+                         static_cast<unsigned long long>(rng.NextBelow(90)));
+      }
+      if (depth < 3 && rng.NextBool(0.5)) out += parlist(depth + 1);
+      out += "</listitem>";
+    }
+    return out + "</parlist>";
+  };
+  std::vector<xmark::GeneratedDocument> docs;
+  for (int d = 0; d < 6; ++d) {
+    xmark::GeneratedDocument doc;
+    doc.uri = StrFormat("nested-%d.xml", d);
+    doc.text = "<site><description>" + parlist(1) + "</description>" +
+               (rng.NextBool(0.5) ? parlist(1) : "") + "</site>";
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
+/// Evaluates every bench template and extra pattern over three small
+/// corpora (split fragments, unsplit sites, nested lists) and returns
+/// "<corpus>.<query> <rows>-<digest>" golden lines.  The digest covers
+/// each row's columns and URIs, length-prefixed, and the evaluation's
+/// WorkStats.
+std::map<std::string, std::string> RunQueryRowsOracle() {
+  xmark::GeneratorConfig split;
+  split.num_documents = 60;
+  split.entities_per_document = 20;
+  split.split_sections = true;
+  xmark::GeneratorConfig unsplit;
+  unsplit.num_documents = 4;
+  unsplit.entities_per_document = 60;
+  const std::vector<std::pair<std::string,
+                              std::vector<xmark::GeneratedDocument>>>
+      corpora = {{"split", xmark::XmarkGenerator(split).GenerateAll()},
+                 {"unsplit", xmark::XmarkGenerator(unsplit).GenerateAll()},
+                 {"nested", NestedListCorpus()}};
+  std::vector<std::pair<std::string, std::string>> queries;
+  for (size_t i = 0; i < BenchTemplates().size(); ++i) {
+    queries.emplace_back(StrFormat("q%02zu", i + 1), BenchTemplates()[i]);
+  }
+  for (size_t i = 0; i < ExtraQueries().size(); ++i) {
+    queries.emplace_back(StrFormat("x%02zu", i + 1), ExtraQueries()[i]);
+  }
+  std::map<std::string, std::string> lines;
+  for (const auto& [corpus, generated] : corpora) {
+    std::vector<xml::Document> docs;
+    for (const auto& doc : generated) {
+      auto parsed = xml::ParseDocument(doc.uri, doc.text);
+      EXPECT_TRUE(parsed.ok()) << doc.uri;
+      if (parsed.ok()) docs.push_back(std::move(parsed).value());
+    }
+    std::vector<const xml::Document*> ptrs;
+    for (const auto& doc : docs) ptrs.push_back(&doc);
+    for (const auto& [name, text] : queries) {
+      auto query = query::ParseQuery(text);
+      EXPECT_TRUE(query.ok()) << text;
+      if (!query.ok()) continue;
+      (void)query::Evaluator::ConsumeWorkStats();
+      const query::QueryResult result =
+          query::Evaluator::Evaluate(query.value(), ptrs);
+      const auto stats = query::Evaluator::ConsumeWorkStats();
+      std::string bytes;
+      const auto append = [&bytes](const std::string& s) {
+        bytes += StrFormat("%zu:", s.size());
+        bytes += s;
+      };
+      for (size_t r = 0; r < result.rows.size(); ++r) {
+        for (const auto& col : result.rows[r]) append(col);
+        bytes += '|';
+        for (const auto& uri : result.row_uris[r]) append(uri);
+        bytes += '\n';
+      }
+      bytes += StrFormat("scanned=%llu result=%llu embeddings=%llu\n",
+                         static_cast<unsigned long long>(stats.doc_bytes_scanned),
+                         static_cast<unsigned long long>(stats.result_bytes),
+                         static_cast<unsigned long long>(stats.embeddings_found));
+      lines[corpus + "." + name] =
+          StrFormat("%zu-", result.rows.size()) + Digest(bytes);
+    }
+  }
+  return lines;
+}
+
+// Equivalence oracle for the evaluator: a matcher rewrite must return the
+// same rows, in the same order, from the same documents, and charge the
+// same work.  Regenerate only for an intended change to query answers,
+// with WEBDEX_UPDATE_GOLDEN=1.
+TEST(DumpGoldenTest, QueryRowsMatchGolden) {
+  const bool update = std::getenv("WEBDEX_UPDATE_GOLDEN") != nullptr;
+  const std::string file = "query_rows.txt";
+  const auto lines = RunQueryRowsOracle();
+  if (update) {
+    std::ofstream out(GoldenPath(file), std::ios::trunc);
+    ASSERT_TRUE(out.good()) << GoldenPath(file);
+    for (const auto& [key, digest] : lines) out << key << " " << digest << "\n";
+    FAIL() << "golden regenerated at " << GoldenPath(file)
+           << " — rerun without WEBDEX_UPDATE_GOLDEN";
+  }
+  EXPECT_EQ(ReadGolden(file), lines)
+      << "query answers changed. If intentional, regenerate with "
       << "WEBDEX_UPDATE_GOLDEN=1 and commit.";
 }
 
