@@ -1,62 +1,43 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <span>
 
 #include "xml/serializer.h"
 
 namespace webdex::query {
 namespace {
 
-/// A partial embedding of one pattern subtree: fixed-size slot vectors
-/// (one slot per annotated / join-tagged node of the whole pattern),
-/// filled only for the subtree already matched.  Slots of disjoint
-/// subtrees are disjoint, so merging is plain copying.
-struct Partial {
-  std::vector<std::string> outputs;
-  std::vector<std::string> joins;
-};
-
+/// One pattern over one document, in the two phases Evaluator describes.
+/// Pattern nodes are addressed by their pre-order index throughout.
 class PatternMatcher {
  public:
   PatternMatcher(const TreePattern& pattern, const xml::Document& doc)
       : pattern_(pattern), doc_(doc) {
-    output_slot_.assign(static_cast<size_t>(pattern.size()), -1);
-    join_slot_.assign(static_cast<size_t>(pattern.size()), -1);
+    const size_t n = static_cast<size_t>(pattern.size());
+    streams_.resize(n);
+    output_slot_.assign(n, -1);
+    join_slot_.assign(n, -1);
+    bound_.assign(n, nullptr);
     int out_slots = 0;
     int join_slots = 0;
     for (const PatternNode* node : pattern.nodes()) {
-      if (node->HasOutput()) {
-        output_slot_[static_cast<size_t>(node->index)] = out_slots++;
-      }
-      if (!node->join_tag.empty()) {
-        join_slot_[static_cast<size_t>(node->index)] = join_slots++;
-      }
+      const size_t i = static_cast<size_t>(node->index);
+      streams_[i] = doc.NodesLabelled(node->label);
+      if (node->HasOutput()) output_slot_[i] = out_slots++;
+      if (!node->join_tag.empty()) join_slot_[i] = join_slots++;
     }
-    num_output_slots_ = out_slots;
-    num_join_slots_ = join_slots;
+    outputs_.resize(static_cast<size_t>(out_slots));
+    joins_.resize(static_cast<size_t>(join_slots));
   }
 
-  std::vector<PatternMatch> AllMatches(bool first_only) {
-    std::vector<Partial> partials;
-    const PatternNode& proot = pattern_.root();
-    // The pattern root may match any document node (its incoming axis is
-    // descendant-from-document-root); with an explicit child axis it must
-    // match the document element itself.
-    if (proot.axis == Axis::kChild) {
-      MatchAt(proot, doc_.root(), &partials, first_only);
-    } else {
-      MatchAnywhere(proot, doc_.root(), &partials, first_only);
-    }
+  bool AnyEmbedding() { return AnyExists(pattern_.root(), nullptr); }
+
+  std::vector<PatternMatch> AllEmbeddings() {
     std::vector<PatternMatch> matches;
-    matches.reserve(partials.size());
-    for (auto& partial : partials) {
-      PatternMatch match;
-      match.uri = doc_.uri();
-      match.outputs = std::move(partial.outputs);
-      match.join_values = std::move(partial.joins);
-      matches.push_back(std::move(match));
-    }
+    Bind(0, &matches);
     return matches;
   }
 
@@ -79,90 +60,102 @@ class PatternMatcher {
     return true;
   }
 
-  // Tries to match `pnode` at every node of the subtree rooted at `dnode`
-  // (including dnode itself).
-  void MatchAnywhere(const PatternNode& pnode, const xml::Node& dnode,
-                     std::vector<Partial>* out, bool first_only) {
-    MatchAt(pnode, dnode, out, first_only);
-    if (first_only && !out->empty()) return;
-    for (const auto& child : dnode.children()) {
-      MatchAnywhere(pnode, *child, out, first_only);
-      if (first_only && !out->empty()) return;
+  // Calls `visit` on each document node `pnode` may bind to, in document
+  // order, until it returns true; returns whether it did.  `context` is
+  // the binding of pnode's parent, or null for the pattern root, whose
+  // child axis means the document element and whose descendant axis
+  // means any node.  A child step walks context's children; a descendant
+  // step reads the slice of pnode's label stream inside context's
+  // (pre, post) interval.
+  template <typename Visit>
+  bool AnyCandidate(const PatternNode& pnode, const xml::Node* context,
+                    Visit&& visit) {
+    if (pnode.axis == Axis::kChild) {
+      if (context == nullptr) return visit(doc_.root());
+      for (const auto& child : context->children()) {
+        if (visit(*child)) return true;
+      }
+      return false;
     }
+    const auto& stream = streams_[static_cast<size_t>(pnode.index)];
+    auto it = stream.begin();
+    uint32_t post_bound = UINT32_MAX;
+    if (context != nullptr) {
+      const xml::NodeId& id = context->id();
+      it = std::partition_point(
+          stream.begin(), stream.end(),
+          [&id](const xml::Node* n) { return n->id().pre <= id.pre; });
+      post_bound = id.post;
+    }
+    for (; it != stream.end() && (*it)->id().post < post_bound; ++it) {
+      if (visit(**it)) return true;
+    }
+    return false;
   }
 
-  // Appends to `out` every embedding that maps `pnode` exactly to `dnode`.
-  void MatchAt(const PatternNode& pnode, const xml::Node& dnode,
-               std::vector<Partial>* out, bool first_only) {
-    if (!NodeMatches(pnode, dnode)) return;
-
-    // Per-child lists of sub-embeddings.
-    std::vector<std::vector<Partial>> child_partials;
-    child_partials.reserve(pnode.children.size());
+  // Phase 1: whether the pattern subtree rooted at `pnode` embeds with
+  // pnode bound to `dnode`.  Allocation-free; stops at the first witness.
+  bool Exists(const PatternNode& pnode, const xml::Node& dnode) {
+    if (!NodeMatches(pnode, dnode)) return false;
     for (const auto& pchild : pnode.children) {
-      std::vector<Partial> candidates;
-      if (pchild->axis == Axis::kChild) {
-        for (const auto& dchild : dnode.children()) {
-          MatchAt(*pchild, *dchild, &candidates, first_only);
-          if (first_only && !candidates.empty()) break;
-        }
-      } else {
-        for (const auto& dchild : dnode.children()) {
-          MatchAnywhere(*pchild, *dchild, &candidates, first_only);
-          if (first_only && !candidates.empty()) break;
-        }
-      }
-      if (candidates.empty()) return;  // conjunctive: all children required
-      child_partials.push_back(std::move(candidates));
+      if (!AnyExists(*pchild, &dnode)) return false;
     }
+    return true;
+  }
 
-    // This node's own contribution.
-    Partial self;
-    self.outputs.assign(static_cast<size_t>(num_output_slots_), {});
-    self.joins.assign(static_cast<size_t>(num_join_slots_), {});
-    const int oslot = output_slot_[static_cast<size_t>(pnode.index)];
-    if (oslot >= 0) {
-      if (pnode.want_cont) {
-        self.outputs[static_cast<size_t>(oslot)] = xml::Serialize(dnode);
-      } else {
-        self.outputs[static_cast<size_t>(oslot)] = dnode.StringValue();
-      }
-    }
-    const int jslot = join_slot_[static_cast<size_t>(pnode.index)];
-    if (jslot >= 0) {
-      self.joins[static_cast<size_t>(jslot)] = dnode.StringValue();
-    }
+  // Whether some candidate of `pnode` below `context` passes Exists.
+  bool AnyExists(const PatternNode& pnode, const xml::Node* context) {
+    return AnyCandidate(pnode, context, [&](const xml::Node& dnode) {
+      return Exists(pnode, dnode);
+    });
+  }
 
-    // Cartesian product over children, merged into `self`.
-    std::vector<Partial> combined{std::move(self)};
-    for (auto& candidates : child_partials) {
-      std::vector<Partial> next;
-      next.reserve(combined.size() * candidates.size());
-      for (const Partial& base : combined) {
-        for (const Partial& cand : candidates) {
-          Partial merged = base;
-          for (size_t i = 0; i < merged.outputs.size(); ++i) {
-            if (!cand.outputs[i].empty()) merged.outputs[i] = cand.outputs[i];
-          }
-          for (size_t i = 0; i < merged.joins.size(); ++i) {
-            if (!cand.joins[i].empty()) merged.joins[i] = cand.joins[i];
-          }
-          next.push_back(std::move(merged));
-          if (first_only) break;
-        }
-        if (first_only && !next.empty()) break;
-      }
-      combined = std::move(next);
+  // Phase 2: binds pattern node `i` to each of its candidates that passes
+  // Exists, writes its output and join slots, and binds the rest of the
+  // pattern; past the last node it emits the slots as one embedding.
+  void Bind(size_t i, std::vector<PatternMatch>* out) {
+    if (i == bound_.size()) {
+      out->push_back({doc_.uri(), outputs_, joins_});
+      return;
     }
-    for (auto& partial : combined) out->push_back(std::move(partial));
+    const PatternNode& pnode = *pattern_.nodes()[i];
+    const xml::Node* context =
+        pnode.parent == nullptr
+            ? nullptr
+            : bound_[static_cast<size_t>(pnode.parent->index)];
+    AnyCandidate(pnode, context, [&](const xml::Node& dnode) {
+      if (!Exists(pnode, dnode)) return false;
+      bound_[i] = &dnode;
+      if (const int slot = output_slot_[i]; slot >= 0) {
+        std::string& output = outputs_[static_cast<size_t>(slot)];
+        if (pnode.want_cont) {
+          output = xml::Serialize(dnode);
+        } else {
+          output.clear();
+          dnode.AppendStringValue(&output);
+        }
+      }
+      if (const int slot = join_slot_[i]; slot >= 0) {
+        std::string& join = joins_[static_cast<size_t>(slot)];
+        join.clear();
+        dnode.AppendStringValue(&join);
+      }
+      Bind(i + 1, out);
+      return false;
+    });
   }
 
   const TreePattern& pattern_;
   const xml::Document& doc_;
+  // Per pattern node: its label stream, its output and join slots (-1 if
+  // none), and its current binding during Bind.
+  std::vector<std::span<const xml::Node* const>> streams_;
   std::vector<int> output_slot_;
   std::vector<int> join_slot_;
-  int num_output_slots_ = 0;
-  int num_join_slots_ = 0;
+  std::vector<const xml::Node*> bound_;
+  // The slots of the embedding being bound, copied once per emission.
+  std::vector<std::string> outputs_;
+  std::vector<std::string> joins_;
 };
 
 }  // namespace
@@ -186,15 +179,10 @@ std::string QueryResult::ToXml() const {
   std::string out = "<results>";
   for (const auto& row : rows) {
     out += "<row>";
-    for (const auto& col : row) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      const bool cont = c < cont_columns.size() && cont_columns[c];
       out += "<col>";
-      // `cont` columns already hold XML; `val` columns are escaped text.
-      // Heuristic: serialized subtrees start with '<'.
-      if (!col.empty() && col[0] == '<') {
-        out += col;
-      } else {
-        out += xml::EscapeText(col);
-      }
+      out += cont ? row[c] : xml::EscapeText(row[c]);
       out += "</col>";
     }
     out += "</row>";
@@ -226,8 +214,7 @@ std::vector<PatternMatch> Evaluator::MatchPattern(const TreePattern& pattern,
                                                   const xml::Document& doc) {
   ThreadStats().doc_bytes_scanned += doc.size_bytes();
   ThreadStatsPending() = true;
-  PatternMatcher matcher(pattern, doc);
-  auto matches = matcher.AllMatches(/*first_only=*/false);
+  auto matches = PatternMatcher(pattern, doc).AllEmbeddings();
   ThreadStats().embeddings_found += matches.size();
   return matches;
 }
@@ -236,8 +223,7 @@ bool Evaluator::Matches(const TreePattern& pattern,
                         const xml::Document& doc) {
   ThreadStats().doc_bytes_scanned += doc.size_bytes();
   ThreadStatsPending() = true;
-  PatternMatcher matcher(pattern, doc);
-  return !matcher.AllMatches(/*first_only=*/true).empty();
+  return PatternMatcher(pattern, doc).AnyEmbedding();
 }
 
 QueryResult Evaluator::Evaluate(const Query& query,
@@ -269,6 +255,11 @@ QueryResult Evaluator::Evaluate(const Query& query,
   // Step 2: combine the per-pattern relations with the value joins
   // (nested-loop; pattern result sets are small after index pruning).
   QueryResult result;
+  for (const TreePattern& pattern : query.patterns()) {
+    for (const PatternNode* node : pattern.output_nodes()) {
+      result.cont_columns.push_back(node->want_cont);
+    }
+  }
   std::vector<const PatternMatch*> current(query.patterns().size(), nullptr);
   std::function<void(size_t)> combine = [&](size_t p) {
     if (p == query.patterns().size()) {

@@ -16,8 +16,8 @@ struct PatternMatch {
   /// Projected outputs, one per annotated node in pattern pre-order
   /// (string value for `val`, serialized subtree for `cont`).
   std::vector<std::string> outputs;
-  /// String values of the pattern's join-tagged nodes, keyed by the
-  /// node's pre-order index (parallel to `join_nodes` of the evaluator).
+  /// String values of the pattern's join-tagged nodes, one per join
+  /// slot: the i-th join-tagged node in pattern pre-order fills slot i.
   std::vector<std::string> join_values;
 };
 
@@ -30,6 +30,10 @@ struct QueryResult {
   /// documents (Section 5.5); Table 5's "documents with results" counts
   /// the distinct URIs appearing here.
   std::vector<std::vector<std::string>> row_uris;
+  /// Per column, true if it holds a serialized subtree (`cont`) and false
+  /// if it holds a string value (`val`).  Evaluate fills it; ToXml copies
+  /// `cont` columns verbatim and escapes every other column.
+  std::vector<bool> cont_columns;
 
   /// Distinct documents contributing to at least one row.
   size_t ContributingDocuments() const;
@@ -38,7 +42,9 @@ struct QueryResult {
   uint64_t SizeBytes() const;
 
   /// XML rendering (what the query processor writes back to the file
-  /// store): <results><row><col>...</col>...</row>...</results>.
+  /// store): <results><row><col>...</col>...</row>...</results>.  A `val`
+  /// column is escaped text and a `cont` column is inserted as is, so the
+  /// output re-parses with every column's value intact.
   std::string ToXml() const;
 };
 
@@ -47,6 +53,25 @@ struct QueryResult {
 /// pattern results with value joins.  It plays the role the ViP2P
 /// processor plays in the paper's implementation — the piece you "can
 /// choose freely".
+///
+/// A pattern is matched against a document in two phases, over the
+/// document's label streams (xml::Document::NodesLabelled):
+///   * Candidates.  A `//x` step below a bound node d reads x's stream
+///     from the first node with pre > d.pre while post < d.post — the
+///     structural-join test of Al-Khalifa et al. [3] on the (pre, post)
+///     IDs — so only nodes labelled x are visited.  The pattern root
+///     reads its whole stream (or, with `/`, just the document element);
+///     a `/x` step walks d's children.
+///   * Phase 1, Exists(p, d): does p's pattern subtree embed with p bound
+///     to d?  Allocation-free, stops at the first witness per child.
+///     Matches is this check on the root's candidates.
+///   * Phase 2, Bind: binds the pattern nodes in pre-order, each to every
+///     candidate below its parent's binding that passes Exists, writing
+///     outputs and join values into one reused slot vector that is copied
+///     once per embedding.  Since only nodes that pass Exists are bound,
+///     no partial binding is thrown away.
+/// Embeddings come out in lexicographic order of their bindings (pattern
+/// pre-order, candidates in document order).
 class Evaluator {
  public:
   /// All embeddings of `pattern` into `doc` (every homomorphism that

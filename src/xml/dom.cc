@@ -54,13 +54,15 @@ size_t Node::SubtreeSize() const {
 
 namespace {
 
-void AssignIdsRecursive(Node* node, uint32_t depth, uint32_t* pre,
-                        uint32_t* post) {
+void AssignIdsRecursive(
+    Node* node, uint32_t depth, uint32_t* pre, uint32_t* post,
+    std::unordered_map<std::string, std::vector<const Node*>>* labelled) {
+  if (!node->is_text()) (*labelled)[node->label()].push_back(node);
   NodeId id;
   id.pre = (*pre)++;
   id.depth = depth;
   for (auto& child : node->children()) {
-    AssignIdsRecursive(child.get(), depth + 1, pre, post);
+    AssignIdsRecursive(child.get(), depth + 1, pre, post, labelled);
   }
   id.post = (*post)++;
   node->set_id(id);
@@ -69,9 +71,17 @@ void AssignIdsRecursive(Node* node, uint32_t depth, uint32_t* pre,
 }  // namespace
 
 void Document::AssignIds() {
+  labelled_.clear();
   uint32_t pre = 1;
   uint32_t post = 1;
-  AssignIdsRecursive(root_.get(), 1, &pre, &post);
+  AssignIdsRecursive(root_.get(), 1, &pre, &post, &labelled_);
+}
+
+std::span<const Node* const> Document::NodesLabelled(
+    const std::string& label) const {
+  const auto it = labelled_.find(label);
+  if (it == labelled_.end()) return {};
+  return it->second;
 }
 
 void ForEachNode(const Node& node,

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace webdex::xml {
@@ -120,14 +122,23 @@ class Document {
 
   /// Re-assigns (pre, post, depth) identifiers over the whole tree in
   /// document order (elements and attributes get IDs; text nodes too, so
-  /// word occurrences have positions).  Called by the parser; call again
+  /// word occurrences have positions) and rebuilds the label streams
+  /// below.  Called by the parser and the XMark generator; call again
   /// after structural mutation.
   void AssignIds();
+
+  /// The label stream of `label`: every element and attribute node with
+  /// that label, in document order (text nodes are never listed).  A
+  /// `//label` step below a node `d` reads the slice after the first
+  /// `pre > d.pre` up to the first `post > d.post`, instead of walking
+  /// d's subtree.  Valid until the next AssignIds().
+  std::span<const Node* const> NodesLabelled(const std::string& label) const;
 
  private:
   std::string uri_;
   std::unique_ptr<Node> root_;
   size_t size_bytes_;
+  std::unordered_map<std::string, std::vector<const Node*>> labelled_;
 };
 
 /// Runs `fn(node)` over the subtree rooted at `node` in document order.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/strings.h"
@@ -118,6 +120,102 @@ TEST_P(IdInvariants, PrePostDepthAgreeWithTree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Docs, IdInvariants, ::testing::Range(0, 10));
+
+// --- Label streams -----------------------------------------------------------
+
+std::vector<std::string> StreamIds(const Document& doc,
+                                   const std::string& label) {
+  std::vector<std::string> ids;
+  for (const Node* node : doc.NodesLabelled(label)) {
+    ids.push_back(node->id().ToString());
+  }
+  return ids;
+}
+
+TEST(LabelStreamTest, ListsElementsAndAttributesInDocumentOrder) {
+  auto parsed = ParseDocument(
+      "t", "<a id=\"1\"><b id=\"2\">t<a>x</a></b><id/></a>");
+  ASSERT_TRUE(parsed.ok());
+  const Document& doc = parsed.value();
+  const auto a = doc.NodesLabelled("a");
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a[0], &doc.root());
+  EXPECT_EQ(a[1]->parent()->label(), "b");
+  // Attributes and elements of one name share a stream, in pre order.
+  const auto id = doc.NodesLabelled("id");
+  ASSERT_EQ(id.size(), 3u);
+  EXPECT_TRUE(id[0]->is_attribute());
+  EXPECT_EQ(id[0]->value(), "1");
+  EXPECT_TRUE(id[1]->is_attribute());
+  EXPECT_EQ(id[1]->value(), "2");
+  EXPECT_TRUE(id[2]->is_element());
+  // Text nodes have no label and are never listed.
+  EXPECT_TRUE(doc.NodesLabelled("").empty());
+  EXPECT_TRUE(doc.NodesLabelled("missing").empty());
+}
+
+TEST(LabelStreamTest, StreamsPartitionTheNonTextNodesOfXmarkDocs) {
+  xmark::GeneratorConfig config;
+  config.num_documents = 4;
+  config.entities_per_document = 12;
+  const xmark::XmarkGenerator generator(config);
+  for (int d = 0; d < config.num_documents; ++d) {
+    const Document doc = generator.GenerateDom(d);
+    size_t non_text = 0;
+    size_t listed = 0;
+    ForEachNode(doc.root(), [&](const Node& node) {
+      if (node.is_text()) return;
+      ++non_text;
+      const auto stream = doc.NodesLabelled(node.label());
+      // Every non-text node appears exactly once, in its own stream.
+      EXPECT_EQ(std::count(stream.begin(), stream.end(), &node), 1);
+      if (stream.front() == &node) {
+        listed += stream.size();
+        for (size_t i = 1; i < stream.size(); ++i) {
+          EXPECT_LT(stream[i - 1]->id().pre, stream[i]->id().pre);
+        }
+      }
+    });
+    EXPECT_EQ(listed, non_text);
+  }
+}
+
+TEST(LabelStreamTest, AssignIdsRebuildsStreamsAfterMutation) {
+  auto parsed = ParseDocument("t", "<a><b/><c><b/></c></a>");
+  ASSERT_TRUE(parsed.ok());
+  Document doc = std::move(parsed).value();
+  EXPECT_EQ(StreamIds(doc, "b"),
+            (std::vector<std::string>{"(2, 1, 2)", "(4, 2, 3)"}));
+  Node* added = doc.mutable_root()->children()[0]->AddElement("b");
+  doc.mutable_root()->AddAttribute("b", "v");
+  doc.AssignIds();
+  const auto b = doc.NodesLabelled("b");
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b[1], added);
+  EXPECT_TRUE(b[3]->is_attribute());
+  EXPECT_EQ(StreamIds(doc, "b"),
+            (std::vector<std::string>{"(2, 2, 2)", "(3, 1, 3)", "(5, 3, 3)",
+                                      "(6, 5, 2)"}));
+}
+
+TEST(LabelStreamTest, MovedDocumentKeepsValidStreams) {
+  std::vector<Document> docs;
+  for (int i = 0; i < 8; ++i) {  // growth moves earlier documents
+    auto parsed = ParseDocument(StrFormat("d%d", i),
+                                StrFormat("<a><b>%d</b><b/></a>", i));
+    ASSERT_TRUE(parsed.ok());
+    docs.push_back(std::move(parsed).value());
+  }
+  Document moved = std::move(docs[3]);
+  for (const Document* doc : {&moved, &docs[7]}) {
+    const auto b = doc->NodesLabelled("b");
+    ASSERT_EQ(b.size(), 2u);
+    EXPECT_EQ(b[0]->parent(), &doc->root());
+    EXPECT_EQ(b[1]->parent(), &doc->root());
+  }
+  EXPECT_EQ(moved.NodesLabelled("b")[0]->StringValue(), "3");
+  EXPECT_EQ(docs[7].NodesLabelled("b")[0]->StringValue(), "7");
+}
 
 // --- Tokenizer ---------------------------------------------------------------
 

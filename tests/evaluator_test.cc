@@ -2,8 +2,10 @@
 
 #include "query/evaluator.h"
 #include "query/parser.h"
+#include "random_pattern.h"
 #include "xmark/paintings.h"
 #include "xml/parser.h"
+#include "xml/serializer.h"
 
 namespace webdex::query {
 namespace {
@@ -156,6 +158,7 @@ TEST_F(EvaluatorTest, NoMatchesYieldEmptyResult) {
 TEST_F(EvaluatorTest, ResultXmlSerialization) {
   QueryResult result;
   result.rows = {{"a & b", "<name>x</name>"}};
+  result.cont_columns = {false, true};
   const std::string xml = result.ToXml();
   EXPECT_EQ(xml,
             "<results><row><col>a &amp; b</col><col><name>x</name></col>"
@@ -222,6 +225,84 @@ TEST_F(EvaluatorTest, WorkStatsAccumulateAndReset) {
   EXPECT_EQ(stats.embeddings_found, 2u);
   const auto after = Evaluator::ConsumeWorkStats();
   EXPECT_EQ(after.doc_bytes_scanned, 0u);
+}
+
+// ToXml knows each column's kind from the query, not from its first
+// character: a value that starts with '<' is still escaped text.
+TEST_F(EvaluatorTest, ValColumnStartingWithAngleBracketRoundTrips) {
+  const xml::Document doc = Doc("d", "<a><b>&lt;i&gt; x</b></a>");
+  const QueryResult result = Evaluator::Evaluate(Q("//a[/b:val]"), {&doc});
+  ASSERT_EQ(result.rows.size(), 1u);
+  ASSERT_EQ(result.rows[0][0], "<i> x");
+  const auto reparsed = xml::ParseDocument("r", result.ToXml());
+  ASSERT_TRUE(reparsed.ok()) << result.ToXml();
+  const auto cols = reparsed.value().NodesLabelled("col");
+  ASSERT_EQ(cols.size(), 1u);
+  EXPECT_EQ(cols[0]->StringValue(), "<i> x");
+}
+
+// ...and a `cont` column is inserted as is, even when it does not start
+// with '<' (a serialized attribute), so it is not escaped a second time.
+TEST_F(EvaluatorTest, AttributeContColumnIsNotEscapedTwice) {
+  const xml::Document doc = Doc("d", "<a id=\"x&quot;1\"><b>y</b></a>");
+  const QueryResult result =
+      Evaluator::Evaluate(Q("//a[/@id:cont, /b:cont]"), {&doc});
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.cont_columns, (std::vector<bool>{true, true}));
+  ASSERT_EQ(result.rows[0][0], "id=\"x&quot;1\"");
+  const auto reparsed = xml::ParseDocument("r", result.ToXml());
+  ASSERT_TRUE(reparsed.ok()) << result.ToXml();
+  const auto cols = reparsed.value().NodesLabelled("col");
+  ASSERT_EQ(cols.size(), 2u);
+  EXPECT_EQ(cols[0]->StringValue(), "id=\"x\"1\"");
+  ASSERT_EQ(cols[1]->children().size(), 1u);
+  EXPECT_EQ(xml::Serialize(*cols[1]->children()[0]), result.rows[0][1]);
+}
+
+// Same-label descendants nested in each other: every (outer, inner) pair
+// is an embedding, in document order of the outer node, then the inner.
+TEST_F(EvaluatorTest, NestedSameLabelDescendantsEnumerateEveryEmbedding) {
+  const xml::Document doc =
+      Doc("d", "<a><a><b>1</b><a><b>2</b></a></a><b>3</b></a>");
+  const auto outputs = [&doc](std::string_view text) {
+    std::vector<std::string> flat;
+    for (const auto& match :
+         Evaluator::MatchPattern(Q(text).patterns()[0], doc)) {
+      std::string row;
+      for (const auto& output : match.outputs) row += output + ";";
+      flat.push_back(row);
+    }
+    return flat;
+  };
+  EXPECT_EQ(outputs("//a//a:val"),
+            (std::vector<std::string>{"12;", "2;", "2;"}));
+  EXPECT_EQ(outputs("//a[//b:val]"),
+            (std::vector<std::string>{"1;", "2;", "3;", "1;", "2;", "2;"}));
+  EXPECT_EQ(outputs("//a[//a:val, //b:val]"),
+            (std::vector<std::string>{"12;1;", "12;2;", "12;3;", "2;1;",
+                                      "2;2;", "2;3;", "2;1;", "2;2;"}));
+  EXPECT_EQ(outputs("//a[/a//a, //b:val]"),
+            (std::vector<std::string>{"1;", "2;", "3;"}));
+  EXPECT_EQ(outputs("/a//a[/b:val]"), (std::vector<std::string>{"1;", "2;"}));
+}
+
+// The early-exit check and the full enumeration agree on the random
+// patterns the index soundness suite uses.
+TEST(EvaluatorRandomTest, MatchesAgreesWithMatchPattern) {
+  for (int seed = 0; seed < 6; ++seed) {
+    Rng rng = RandomPatternRng(seed);
+    const std::vector<xml::Document> docs = RandomPatternCorpus(seed);
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::string text = RandomPattern(rng, 5);
+      const Query query = Q(text);
+      ASSERT_EQ(query.patterns().size(), 1u) << text;
+      for (const auto& doc : docs) {
+        EXPECT_EQ(Evaluator::Matches(query.patterns()[0], doc),
+                  !Evaluator::MatchPattern(query.patterns()[0], doc).empty())
+            << text << " on " << doc.uri();
+      }
+    }
+  }
 }
 
 }  // namespace

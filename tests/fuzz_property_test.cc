@@ -14,6 +14,7 @@
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "query/xquery.h"
+#include "random_pattern.h"
 #include "xmark/xmark_generator.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -21,65 +22,12 @@
 namespace webdex {
 namespace {
 
-// --- Random tree-pattern generation -----------------------------------------
-
-/// Labels that actually occur in the XMark corpus, plus a few that never
-/// do (so some random patterns are unsatisfiable).
-const char* kLabels[] = {"site",     "regions", "item",    "name",
-                         "person",   "address", "city",    "open_auction",
-                         "reserve",  "seller",  "mailbox", "mail",
-                         "description", "payment", "nothere", "bogus"};
-const char* kWords[] = {"the", "gold", "garden", "gossamer", "zzz"};
-
-std::string RandomPattern(Rng& rng, int max_nodes) {
-  // Builds a random pattern in the textual syntax, recursively.
-  std::function<std::string(int*, int)> node = [&](int* budget,
-                                                   int depth) -> std::string {
-    --*budget;
-    std::string out(kLabels[rng.NextBelow(std::size(kLabels))]);
-    const double p = rng.NextDouble();
-    if (p < 0.15) {
-      out += "~'" + std::string(kWords[rng.NextBelow(std::size(kWords))]) +
-             "'";
-    } else if (p < 0.25) {
-      out += "='" + std::string(kWords[rng.NextBelow(std::size(kWords))]) +
-             "'";
-    } else if (p < 0.3) {
-      out += " in(1,5000]";
-    }
-    if (*budget > 0 && depth < 3 && rng.NextBool(0.7)) {
-      const int children =
-          1 + static_cast<int>(rng.NextBelow(
-                  std::min<uint64_t>(2, static_cast<uint64_t>(*budget))));
-      out += "[";
-      for (int c = 0; c < children && *budget > 0; ++c) {
-        if (c > 0) out += ", ";
-        out += rng.NextBool(0.5) ? "/" : "//";
-        out += node(budget, depth + 1);
-      }
-      out += "]";
-    }
-    return out;
-  };
-  int budget = max_nodes;
-  return "//" + node(&budget, 0);
-}
-
 class RandomPatternSoundness : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomPatternSoundness, EveryStrategyLookupIsSound) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 13);
-
+  Rng rng = RandomPatternRng(GetParam());
   // A small corpus shared by all patterns of this seed.
-  xmark::GeneratorConfig config;
-  config.num_documents = 12;
-  config.entities_per_document = 6;
-  config.seed = 1000 + static_cast<uint64_t>(GetParam());
-  xmark::XmarkGenerator generator(config);
-  std::vector<xml::Document> docs;
-  for (int i = 0; i < config.num_documents; ++i) {
-    docs.push_back(generator.GenerateDom(i));
-  }
+  const std::vector<xml::Document> docs = RandomPatternCorpus(GetParam());
 
   // Index under every strategy.
   cloud::CloudEnv env;
