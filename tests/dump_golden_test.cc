@@ -19,6 +19,13 @@
 // nested-descendant and attribute patterns over three small corpora.
 // The no-index answers the benchmark checks the warehouse against come
 // from this evaluator, so only a golden can catch a bug in it.
+//
+// A fourth golden (tests/golden/kv_stores.txt) pins both simulated table
+// stores, DynamoDB and SimpleDB, call by call: a scripted sequence of
+// every verb, fault-free and under injected faults and throttling, plus a
+// SimpleDB warehouse build per strategy.  The other goldens index into
+// DynamoDB only, so this is the oracle that holds SimpleDB's storage,
+// billing and errors fixed.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +40,7 @@
 #include <vector>
 
 #include "cloud/kv_store.h"
+#include "cloud/snapshot.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "engine/warehouse.h"
@@ -491,6 +499,252 @@ TEST(DumpGoldenTest, QueryRowsMatchGolden) {
   }
   EXPECT_EQ(ReadGolden(file), lines)
       << "query answers changed. If intentional, regenerate with "
+      << "WEBDEX_UPDATE_GOLDEN=1 and commit.";
+}
+
+/// Canonical bytes of an item list, in the order returned.
+std::string DumpItems(const std::vector<cloud::Item>& items) {
+  std::string dump;
+  const auto append = [&dump](const std::string& s) {
+    dump += StrFormat("%zu:", s.size());
+    dump += s;
+  };
+  for (const cloud::Item& item : items) {
+    append(item.hash_key);
+    append(item.range_key);
+    for (const auto& [name, values] : item.attrs) {
+      append(name);
+      dump += StrFormat("%zu;", values.size());
+      for (const std::string& value : values) append(value);
+    }
+    dump += '\n';
+  }
+  return dump;
+}
+
+/// `count` text items (valid in both stores) over 40 hash keys, each about
+/// 1 KB in three values, so a set of 1600 spans many BatchPut pages, more
+/// than one DynamoDB scan page (1 MB) and more than one SimpleDB select
+/// page (2500 values).  Items whose index is 6 mod 7 reuse the key of the
+/// item three before, and items 10 mod 11 that of the item thirty before:
+/// replacements within one page and across pages of the same call.
+/// `first` offsets the range keys, so a second set with a smaller offset
+/// replaces part of the first.
+std::vector<cloud::Item> StoreOracleItems(int first, int count, int salt) {
+  std::vector<cloud::Item> items;
+  for (int n = 0; n < count; ++n) {
+    int i = first + n;
+    if (n % 7 == 6) {
+      i -= 3;
+    } else if (n % 11 == 10 && n >= 30) {
+      i -= 30;
+    }
+    std::string value = StrFormat("v%d.%d.", salt, n);
+    while (value.size() < 300) value += value;
+    value.resize(300 + static_cast<size_t>(n % 5));
+    items.push_back(cloud::Item{
+        StrFormat("h%03d", i % 40), StrFormat("r%05d", i),
+        {{"a", {value, value.substr(7)}}, {"b", {value.substr(3)}}}});
+  }
+  return items;
+}
+
+/// Runs the store script on one backend of a fresh CloudEnv and returns
+/// "<backend>.<plan>.<step>_<call> <digest>" golden lines.  Per call the
+/// digest covers the status, the returned (or unprocessed) items, the
+/// agent clock, the call's Usage delta and every table's stored, overhead
+/// and item counts; the run ends with the store fingerprint, the metric
+/// registry's Prometheus text and the snapshot bytes.
+std::map<std::string, std::string> RunStoreOracle(IndexBackend backend,
+                                                  bool faulted) {
+  const bool simpledb = backend == IndexBackend::kSimpleDb;
+  cloud::CloudConfig config;
+  if (faulted) {
+    config.faults.seed = 7;
+    cloud::ServiceFaults& faults =
+        simpledb ? config.faults.simpledb : config.faults.dynamodb;
+    faults.error_probability = 0.15;
+    faults.unprocessed_probability = 0.3;
+    config.dynamodb.max_backlog_micros = 200'000;
+    config.simpledb.max_backlog_micros = 200'000;
+  }
+  cloud::CloudEnv env(config);
+  cloud::KvStore& store = simpledb
+                              ? static_cast<cloud::KvStore&>(env.simpledb())
+                              : env.dynamodb();
+  const std::string prefix = std::string(simpledb ? "simpledb" : "dynamodb") +
+                             (faulted ? ".faulted." : ".clean.");
+  std::map<std::string, std::string> lines;
+  int step = 0;
+  cloud::SimAgent agent;
+  using Items = std::vector<cloud::Item>;
+  // Runs one call on `caller` and digests what it did.
+  const auto call = [&](const std::string& name, cloud::SimAgent& caller,
+                        auto&& fn) {
+    const cloud::Usage before = env.meter().Snapshot();
+    Items items;
+    const Status status = fn(caller, &items);
+    std::string bytes = status.ToString() + "\n" + DumpItems(items);
+    bytes += StrFormat("now=%lld\n", static_cast<long long>(caller.now()));
+    bytes += RenderUsage(env.meter().Snapshot() - before);
+    for (const char* table : {"t", "u", "nope"}) {
+      bytes += StrFormat("%s stored=%llu overhead=%llu items=%llu\n", table,
+                         static_cast<unsigned long long>(store.StoredBytes(table)),
+                         static_cast<unsigned long long>(
+                             store.OverheadBytes(table)),
+                         static_cast<unsigned long long>(store.ItemCount(table)));
+    }
+    lines[prefix + StrFormat("%02d_", ++step) + name] = Digest(bytes);
+    return status;
+  };
+  const auto read = [](Result<Items> result, Items* out) {
+    if (!result.ok()) return result.status();
+    *out = std::move(result).value();
+    return Status::OK();
+  };
+  // Re-puts whatever comes back unprocessed until it drains (bounded).
+  const auto put_all = [&](const std::string& name, const std::string& table,
+                           Items pending) {
+    for (int attempt = 0; attempt < 12 && !pending.empty(); ++attempt) {
+      Items bounced;
+      const Status status =
+          call(name, agent, [&](cloud::SimAgent& caller, Items* out) {
+            const Status s = store.BatchPut(caller, table, pending, &bounced);
+            *out = bounced;
+            return s;
+          });
+      if (!status.ok() && !status.IsRetriable()) return;
+      pending = std::move(bounced);
+    }
+  };
+  for (const char* table : {"t", "t", "u"}) {
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const Status status = call(
+          std::string("create_") + table, agent,
+          [&](cloud::SimAgent& caller, Items*) {
+            return store.CreateTable(caller, table);
+          });
+      if (!status.IsRetriable()) break;
+    }
+  }
+  put_all("batch_put", "t", StoreOracleItems(0, 1600, 1));
+  put_all("batch_put_replace", "t", StoreOracleItems(1560, 80, 2));
+  // A second caller whose clock still reads zero sees the whole backlog
+  // the first one committed: under a delay bound it is throttled.
+  cloud::SimAgent late_put;
+  call("late_batch_put", late_put, [&](cloud::SimAgent& caller, Items* out) {
+    return store.BatchPut(caller, "t", StoreOracleItems(5000, 5, 3), out);
+  });
+  call("get_hit", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Get(caller, "t", "h003"), out);
+  });
+  call("get_miss", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Get(caller, "t", "zzz"), out);
+  });
+  std::vector<std::string> keys;
+  for (int i = 0; i < 130; ++i) {
+    keys.push_back(StrFormat(i % 3 == 0 ? "h%03d" : "m%03d", i % 45));
+  }
+  call("batch_get", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.BatchGet(caller, "t", keys), out);
+  });
+  cloud::SimAgent late_get;
+  call("late_get", late_get, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Get(caller, "t", "h004"), out);
+  });
+  call("scan", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Scan(caller, "t"), out);
+  });
+  call("scan_empty", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Scan(caller, "u"), out);
+  });
+  call("delete_present", agent, [&](cloud::SimAgent& caller, Items*) {
+    return store.DeleteItem(caller, "t", "h001", "r00001");
+  });
+  call("delete_absent", agent, [&](cloud::SimAgent& caller, Items*) {
+    return store.DeleteItem(caller, "t", "h001", "r99999");
+  });
+  cloud::SimAgent late_delete;
+  call("late_delete", late_delete, [&](cloud::SimAgent& caller, Items*) {
+    return store.DeleteItem(caller, "t", "h002", "r00002");
+  });
+  call("unknown_batch_put", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return store.BatchPut(caller, "nope", StoreOracleItems(0, 3, 4), out);
+  });
+  call("unknown_get", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Get(caller, "nope", "h000"), out);
+  });
+  call("unknown_batch_get", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.BatchGet(caller, "nope", {"h000", "h001"}), out);
+  });
+  call("unknown_scan", agent, [&](cloud::SimAgent& caller, Items* out) {
+    return read(store.Scan(caller, "nope"), out);
+  });
+  call("unknown_delete", agent, [&](cloud::SimAgent& caller, Items*) {
+    return store.DeleteItem(caller, "nope", "h000", "r00000");
+  });
+  lines[prefix + "zz_fingerprint"] = StrFormat(
+      "%016llx",
+      static_cast<unsigned long long>(cloud::FingerprintStore(store)));
+  lines[prefix + "zz_metrics"] = Digest(env.metrics().ToPrometheus());
+  lines[prefix + "zz_snapshot"] = Digest(cloud::SerializeSnapshot(env));
+  return lines;
+}
+
+/// Indexes the tiny corpus into SimpleDB under every strategy and returns
+/// "simpledb.build.<strategy>.{fingerprint,usage}" golden lines.
+std::map<std::string, std::string> RunSimpleDbBuilds() {
+  std::map<std::string, std::string> lines;
+  for (const StrategyKind kind : index::AllStrategyKinds()) {
+    cloud::CloudEnv env;
+    WarehouseConfig config;
+    config.strategy = kind;
+    config.backend = IndexBackend::kSimpleDb;
+    config.num_instances = 4;
+    Warehouse warehouse(&env, config);
+    EXPECT_TRUE(warehouse.Setup().ok());
+    const auto corpus = TinyCorpus();
+    xmark::XmarkGenerator generator(corpus);
+    for (int i = 0; i < corpus.num_documents; ++i) {
+      auto doc = generator.Generate(i);
+      EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, std::move(doc.text)).ok());
+    }
+    auto report = warehouse.RunIndexers();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    const std::string key =
+        std::string("simpledb.build.") + index::StrategyKindName(kind);
+    lines[key + ".fingerprint"] = StrFormat(
+        "%016llx",
+        static_cast<unsigned long long>(cloud::FingerprintStore(env.simpledb())));
+    lines[key + ".usage"] = Digest(RenderUsage(env.meter().usage()));
+  }
+  return lines;
+}
+
+// Equivalence oracle for the two simulated table stores: the same calls
+// store the same items, return the same results and errors, and bill the
+// same usage and virtual time as when the golden was recorded.
+// Regenerate only for an intended behaviour change, with
+// WEBDEX_UPDATE_GOLDEN=1.
+TEST(DumpGoldenTest, KvStoresMatchGolden) {
+  const bool update = std::getenv("WEBDEX_UPDATE_GOLDEN") != nullptr;
+  const std::string file = "kv_stores.txt";
+  std::map<std::string, std::string> lines = RunSimpleDbBuilds();
+  for (const IndexBackend backend :
+       {IndexBackend::kDynamoDb, IndexBackend::kSimpleDb}) {
+    for (const bool faulted : {false, true}) {
+      lines.merge(RunStoreOracle(backend, faulted));
+    }
+  }
+  if (update) {
+    std::ofstream out(GoldenPath(file), std::ios::trunc);
+    ASSERT_TRUE(out.good()) << GoldenPath(file);
+    for (const auto& [key, digest] : lines) out << key << " " << digest << "\n";
+    FAIL() << "golden regenerated at " << GoldenPath(file)
+           << " — rerun without WEBDEX_UPDATE_GOLDEN";
+  }
+  EXPECT_EQ(ReadGolden(file), lines)
+      << "table store behaviour changed. If intentional, regenerate with "
       << "WEBDEX_UPDATE_GOLDEN=1 and commit.";
 }
 
