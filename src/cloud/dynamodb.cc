@@ -8,7 +8,8 @@ namespace webdex::cloud {
 
 DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
                    FaultInjector* injector, common::MetricRegistry* metrics)
-    : config_(config),
+    : TableStore(kLimits),
+      config_(config),
       meter_(meter),
       injector_(injector),
       batch_put_metrics_(OpMetrics::For(metrics, "service.dynamodb.batch_put")),
@@ -38,45 +39,35 @@ DynamoDb::DynamoDb(const DynamoDbConfig& config, UsageMeter* meter,
   }
 }
 
+Status DynamoDb::InjectFault(SimAgent& agent, const char* site,
+                             const std::string& table, bool write,
+                             Micros op_start, const OpMetrics& op) {
+  if (injector_ == nullptr) return Status::OK();
+  Status fault =
+      injector_->MaybeFail(ServiceId::kDynamoDb, site + table, agent.now());
+  if (fault.ok()) return fault;
+  Usage& usage = meter_->mutable_usage();
+  (write ? usage.ddb_put_requests : usage.ddb_get_requests) += 1;
+  agent.Advance(config_.request_latency);
+  op.Record(agent, op_start, /*error=*/true);
+  return fault;
+}
+
 Status DynamoDb::CreateTable(SimAgent& agent, const std::string& table) {
   const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    // A faulted create bills its API round trip like every other faulted
-    // control call; a successful create is free and instantaneous
-    // (AWS control plane), which keeps fault-free runs bit-identical.
-    Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                        "ddb.createtable:" + table,
-                                        agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().ddb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      create_table_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) {
-    create_table_metrics_.Record(agent, op_start, /*error=*/true);
-    return Status::AlreadyExists("table exists: " + table);
-  }
-  create_table_metrics_.Record(agent, op_start, /*error=*/false);
-  return Status::OK();
+  // A faulted create bills its API round trip like every other faulted
+  // control call; a successful create is free and instantaneous (AWS
+  // control plane), which keeps fault-free runs bit-identical.
+  WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "ddb.createtable:", table,
+                                     /*write=*/true, op_start,
+                                     create_table_metrics_));
+  const Status created = AddTable(table);
+  create_table_metrics_.Record(agent, op_start, /*error=*/!created.ok());
+  return created;
 }
 
-Status DynamoDb::RestoreTable(const std::string& table) {
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) return Status::AlreadyExists("table exists: " + table);
-  return Status::OK();
-}
-
-bool DynamoDb::HasTable(const std::string& table) const {
-  return tables_.count(table) > 0;
-}
-
-double DynamoDb::WriteUnits(const Item& item) {
-  const double size = static_cast<double>(item.SizeBytes());
+double DynamoDb::WriteUnits(uint64_t item_bytes) {
+  const double size = static_cast<double>(item_bytes);
   return (size < kMinWriteBytes ? kMinWriteBytes : size) / 1024.0;
 }
 
@@ -226,43 +217,32 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
                           const std::vector<Item>& items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   for (const auto& item : items) {
     WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
   }
-  Table& t = it->second;
   const int batch_limit = BatchPutLimit();
   size_t index = 0;
   while (index < items.size()) {
     const size_t batch_end =
         std::min(items.size(), index + static_cast<size_t>(batch_limit));
     const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      // A page-level transient error bills the API request and its round
-      // trip but consumes no write capacity (AWS throttles before
-      // writing); everything not yet stored is reported back.
-      Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                          "ddb.batchput:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().ddb_put_requests += 1;
-        agent.Advance(config_.request_latency);
-        batch_put_metrics_.Record(agent, page_start, /*error=*/true);
-        if (unprocessed != nullptr) {
-          unprocessed->insert(unprocessed->end(), items.begin() + index,
-                              items.end());
-        }
-        return fault;
-      }
+    // A page-level transient error or throttle bills the API request and
+    // its round trip but consumes no write capacity (AWS rejects before
+    // writing); everything not yet stored is reported back.
+    Status admitted = InjectFault(agent, "ddb.batchput:", table,
+                                  /*write=*/true, page_start,
+                                  batch_put_metrics_);
+    if (admitted.ok()) {
+      admitted = MaybeThrottle(agent, write_limiter_, /*write=*/true,
+                               page_start, batch_put_metrics_);
     }
-    Status throttled = MaybeThrottle(agent, write_limiter_, /*write=*/true,
-                                     page_start, batch_put_metrics_);
-    if (!throttled.ok()) {
+    if (!admitted.ok()) {
       if (unprocessed != nullptr) {
         unprocessed->insert(unprocessed->end(), items.begin() + index,
                             items.end());
       }
-      return throttled;
+      return admitted;
     }
     size_t commit_end = batch_end;
     if (injector_ != nullptr && unprocessed != nullptr) {
@@ -277,22 +257,8 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
     }
     double batch_units = 0;
     for (size_t i = index; i < commit_end; ++i) {
-      const Item& item = items[i];
-      auto& hash_items = t.items[item.hash_key];
-      auto slot = hash_items.find(item.range_key);
-      if (slot != hash_items.end()) {
-        // Replacement semantics: the new item completely replaces the old
-        // one (Section 6), so subtract the old incarnation's size.
-        const Item old{item.hash_key, item.range_key, slot->second};
-        t.stored_bytes -= old.SizeBytes();
-        t.item_count -= 1;
-        slot->second = item.attrs;
-      } else {
-        hash_items.emplace(item.range_key, item.attrs);
-      }
-      t.stored_bytes += item.SizeBytes();
-      t.item_count += 1;
-      batch_units += WriteUnits(item);
+      Put(*t, items[i]);
+      batch_units += WriteUnits(items[i].SizeBytes());
       meter_->mutable_usage().ddb_items_written += 1;
     }
     meter_->mutable_usage().ddb_put_requests += 1;
@@ -312,29 +278,14 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
 Result<std::vector<Item>> DynamoDb::Get(SimAgent& agent,
                                         const std::string& table,
                                         const std::string& hash_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault =
-        injector_->MaybeFail(ServiceId::kDynamoDb, "ddb.get:" + table,
-                             agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().ddb_get_requests += 1;
-      agent.Advance(config_.request_latency);
-      get_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
+  WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "ddb.get:", table,
+                                     /*write=*/false, op_start, get_metrics_));
   WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_, /*write=*/false,
                                        op_start, get_metrics_));
   std::vector<Item> out;
-  auto hit = it->second.items.find(hash_key);
-  if (hit != it->second.items.end()) {
-    for (const auto& [range_key, attrs] : hit->second) {
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  AppendHashItems(*t, hash_key, &out);
   double units = 0;
   for (const auto& item : out) {
     units += ReadUnits(item.SizeBytes());
@@ -351,8 +302,7 @@ Result<std::vector<Item>> DynamoDb::Get(SimAgent& agent,
 Result<std::vector<Item>> DynamoDb::BatchGet(
     SimAgent& agent, const std::string& table,
     const std::vector<std::string>& hash_keys) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   std::vector<Item> out;
   const int batch_limit = BatchGetLimit();
   size_t index = 0;
@@ -360,28 +310,19 @@ Result<std::vector<Item>> DynamoDb::BatchGet(
     const size_t batch_end = std::min(
         hash_keys.size(), index + static_cast<size_t>(batch_limit));
     const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                          "ddb.batchget:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().ddb_get_requests += 1;
-        agent.Advance(config_.request_latency);
-        batch_get_metrics_.Record(agent, page_start, /*error=*/true);
-        return fault;
-      }
-    }
+    WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "ddb.batchget:", table,
+                                       /*write=*/false, page_start,
+                                       batch_get_metrics_));
     WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_,
                                          /*write=*/false, page_start,
                                          batch_get_metrics_));
-    double units = 0;
+    const size_t page_first = out.size();
     for (size_t i = index; i < batch_end; ++i) {
-      auto hit = it->second.items.find(hash_keys[i]);
-      if (hit == it->second.items.end()) continue;
-      for (const auto& [range_key, attrs] : hit->second) {
-        Item item{hash_keys[i], range_key, attrs};
-        units += ReadUnits(item.SizeBytes());
-        out.push_back(std::move(item));
-      }
+      AppendHashItems(*t, hash_keys[i], &out);
+    }
+    double units = 0;
+    for (size_t i = page_first; i < out.size(); ++i) {
+      units += ReadUnits(out[i].SizeBytes());
     }
     if (units == 0) units = ReadUnits(0);
     meter_->mutable_usage().ddb_get_requests += 1;
@@ -396,30 +337,18 @@ Result<std::vector<Item>> DynamoDb::BatchGet(
 
 Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
                                         const std::string& table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   std::vector<Item> out;
-  for (const auto& [hash_key, ranges] : it->second.items) {
-    for (const auto& [range_key, attrs] : ranges) {
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  AppendAllItems(*t, &out);
   // Page through at the 1 MB scan limit; every page is a billed request
   // that consumes read capacity for the bytes it returns.
   constexpr uint64_t kScanPageBytes = 1024 * 1024;
   size_t index = 0;
   do {
     const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                          "ddb.scan:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().ddb_get_requests += 1;
-        agent.Advance(config_.request_latency);
-        scan_metrics_.Record(agent, page_start, /*error=*/true);
-        return fault;
-      }
-    }
+    WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "ddb.scan:", table,
+                                       /*write=*/false, page_start,
+                                       scan_metrics_));
     WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_,
                                          /*write=*/false, page_start,
                                          scan_metrics_));
@@ -444,86 +373,22 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
 Status DynamoDb::DeleteItem(SimAgent& agent, const std::string& table,
                             const std::string& hash_key,
                             const std::string& range_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such table: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault = injector_->MaybeFail(ServiceId::kDynamoDb,
-                                        "ddb.delete:" + table, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().ddb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      delete_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
+  WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "ddb.delete:", table,
+                                     /*write=*/true, op_start,
+                                     delete_metrics_));
   WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, write_limiter_, /*write=*/true,
                                        op_start, delete_metrics_));
-  Table& t = it->second;
   // Deletes consume write capacity sized by the deleted item (AWS);
-  // deleting an absent key still pays the minimum.
-  double units = kMinWriteBytes / 1024.0;
-  auto hit = t.items.find(hash_key);
-  if (hit != t.items.end()) {
-    auto slot = hit->second.find(range_key);
-    if (slot != hit->second.end()) {
-      const Item old{hash_key, range_key, slot->second};
-      units = WriteUnits(old);
-      t.stored_bytes -= old.SizeBytes();
-      t.item_count -= 1;
-      hit->second.erase(slot);
-      if (hit->second.empty()) t.items.erase(hit);
-    }
-  }
+  // deleting an absent key (size 0) still pays the minimum.
+  const double units = WriteUnits(Erase(*t, hash_key, range_key));
   meter_->mutable_usage().ddb_put_requests += 1;
   MeterWriteUnits(units);
   agent.AdvanceTo(write_limiter_.Acquire(agent.now(), units));
   agent.Advance(config_.request_latency);
   delete_metrics_.Record(agent, op_start, /*error=*/false);
   return Status::OK();
-}
-
-uint64_t DynamoDb::StoredBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.stored_bytes;
-}
-
-uint64_t DynamoDb::OverheadBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.item_count * kItemOverheadBytes;
-}
-
-uint64_t DynamoDb::ItemCount(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.item_count;
-}
-
-void DynamoDb::ForEachItem(
-    const std::function<void(const std::string&, const Item&)>& fn) const {
-  for (const auto& [name, table] : tables_) {
-    for (const auto& [hash_key, ranges] : table.items) {
-      for (const auto& [range_key, attrs] : ranges) {
-        fn(name, Item{hash_key, range_key, attrs});
-      }
-    }
-  }
-}
-
-void DynamoDb::RestoreItem(const std::string& table, const Item& item) {
-  Table& t = tables_[table];
-  t.items[item.hash_key][item.range_key] = item.attrs;
-  t.stored_bytes += item.SizeBytes();
-  t.item_count += 1;
-}
-
-std::vector<std::string> DynamoDb::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
-    (void)table;
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace webdex::cloud

@@ -1,12 +1,11 @@
 #ifndef WEBDEX_CLOUD_DYNAMODB_H_
 #define WEBDEX_CLOUD_DYNAMODB_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "cloud/kv_store.h"
 #include "cloud/sim.h"
+#include "cloud/table_store.h"
 #include "cloud/trace.h"
 #include "cloud/usage.h"
 #include "common/metrics.h"
@@ -46,7 +45,7 @@ struct DynamoDbConfig {
 class FaultInjector;
 class Autoscaler;
 
-class DynamoDb final : public KvStore {
+class DynamoDb final : public TableStore {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
   /// (no per-op `service.dynamodb.*` metrics).
@@ -57,8 +56,20 @@ class DynamoDb final : public KvStore {
   DynamoDb(const DynamoDb&) = delete;
   DynamoDb& operator=(const DynamoDb&) = delete;
 
+  static constexpr StoreLimits kLimits = {
+      .name = "DynamoDB",
+      .table_noun = "table",
+      .max_item_bytes = 64 * 1024,
+      .max_value_bytes = 64 * 1024,
+      .binary_values = true,
+      .batch_put_limit = 25,
+      .batch_get_limit = 100,
+      .max_values_per_item = 1 << 20,
+      .item_overhead_bytes = 100,
+      .value_overhead_bytes = 0,
+  };
+
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
                   const std::vector<Item>& items,
                   std::vector<Item>* unprocessed = nullptr) override;
@@ -72,28 +83,6 @@ class DynamoDb final : public KvStore {
   Status DeleteItem(SimAgent& agent, const std::string& table,
                     const std::string& hash_key,
                     const std::string& range_key) override;
-
-  const char* Name() const override { return "DynamoDB"; }
-  uint64_t MaxItemBytes() const override { return 64 * 1024; }
-  uint64_t MaxValueBytes() const override { return 64 * 1024; }
-  bool SupportsBinaryValues() const override { return true; }
-  int BatchPutLimit() const override { return 25; }
-  int BatchGetLimit() const override { return 100; }
-  uint64_t MaxValuesPerItem() const override { return 1 << 20; }
-
-  uint64_t StoredBytes(const std::string& table) const override;
-  uint64_t OverheadBytes(const std::string& table) const override;
-  uint64_t ItemCount(const std::string& table) const override;
-  std::vector<std::string> TableNames() const override;
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override;
-  void RestoreItem(const std::string& table, const Item& item) override;
-  Status RestoreTable(const std::string& table) override;
-  bool Empty() const override { return tables_.empty(); }
-
-  /// Per-item storage overhead billed by the store.
-  static constexpr uint64_t kItemOverheadBytes = 100;
 
   /// Durable on-demand burst-ceiling state (snapshot v5).  All zero when
   /// `on_demand` is off.
@@ -129,14 +118,7 @@ class DynamoDb final : public KvStore {
   }
 
  private:
-  struct Table {
-    // hash key -> range key -> attributes.
-    std::map<std::string, std::map<std::string, Attributes>> items;
-    uint64_t stored_bytes = 0;
-    uint64_t item_count = 0;
-  };
-
-  /// Write capacity units for an item.
+  /// Write capacity units for an item of `item_bytes`.
   ///
   /// Calibration note: AWS quantizes write units to 1 KB *per item*.  At
   /// the paper's scale (2 MB documents) per-key index payloads routinely
@@ -148,7 +130,7 @@ class DynamoDb final : public KvStore {
   /// simulation uses fractional units, max(bytes, kMinWriteBytes)/1024,
   /// instead of hard per-item ceilings; the small floor models per-item
   /// request overhead.
-  static double WriteUnits(const Item& item);
+  static double WriteUnits(uint64_t item_bytes);
   /// Read capacity units for an item: max(bytes, kMinReadBytes)/4096,
   /// fractional (same calibration rationale; AWS quantum is 4 KB).
   static double ReadUnits(uint64_t item_bytes);
@@ -158,8 +140,15 @@ class DynamoDb final : public KvStore {
   static constexpr double kMinReadBytes = 128;
 
  private:
+  Status ValidateItem(const Item& item) const override;
 
-  Status ValidateItem(const Item& item) const;
+  /// Injected-fault preamble of every billed call: when the injector
+  /// fails site `site` + `table`, bills the API request (a put request if
+  /// `write`, a get request otherwise) and its round trip but no
+  /// capacity, records the error on `op`, and returns the fault.
+  Status InjectFault(SimAgent& agent, const char* site,
+                     const std::string& table, bool write, Micros op_start,
+                     const OpMetrics& op);
 
   /// On-demand control loop: at each elapsed one-second window, folds the
   /// window's consumption into the sustained peak and raises (never
@@ -196,7 +185,6 @@ class DynamoDb final : public KvStore {
   RateLimiter write_limiter_;
   RateLimiter read_limiter_;
   OnDemandState ondemand_;
-  std::map<std::string, Table> tables_;
 };
 
 }  // namespace webdex::cloud

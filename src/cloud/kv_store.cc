@@ -13,18 +13,6 @@ uint64_t Item::SizeBytes() const {
   return size;
 }
 
-uint64_t KvStore::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (const auto& t : TableNames()) total += StoredBytes(t);
-  return total;
-}
-
-uint64_t KvStore::TotalOverheadBytes() const {
-  uint64_t total = 0;
-  for (const auto& t : TableNames()) total += OverheadBytes(t);
-  return total;
-}
-
 uint64_t FingerprintStore(const KvStore& store) {
   std::string dump;
   const auto append = [&dump](const std::string& field) {

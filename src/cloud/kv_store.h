@@ -31,10 +31,35 @@ struct Item {
   uint64_t SizeBytes() const;
 };
 
+/// The fixed capabilities of a store backend: what it accepts and what it
+/// bills for keeping it.  Each simulated backend defines one constexpr
+/// record; decorators share the record of the store they wrap.
+struct StoreLimits {
+  const char* name;
+  /// What the store calls a table in its error messages.
+  const char* table_noun;
+  uint64_t max_item_bytes;
+  uint64_t max_value_bytes;
+  /// False means values must be printable text (SimpleDB), so binary
+  /// payloads like varint-encoded node-ID lists must be armoured (hex),
+  /// doubling their size — the key difference behind Tables 7 and 8.
+  bool binary_values;
+  int batch_put_limit;
+  int batch_get_limit;
+  /// Maximum attribute values a single item may carry (SimpleDB: 256
+  /// attributes per item; DynamoDB: bounded only by item size).
+  uint64_t max_values_per_item;
+  /// Storage overhead billed per item and per attribute value: the
+  /// ovh(D, I) term of Section 7.1 visible in Figure 8.
+  uint64_t item_overhead_bytes;
+  uint64_t value_overhead_bytes;
+};
+
 /// Abstract key-value index store, implemented by the DynamoDB and
-/// SimpleDB simulations.  The indexing strategies are written against this
-/// interface so the paper's Section 8.4 store comparison swaps backends
-/// without touching index code.
+/// SimpleDB simulations (over their shared cloud/table_store.h storage)
+/// and by the deployment decorators stacked on them.  The indexing
+/// strategies are written against this interface so the paper's Section
+/// 8.4 store comparison swaps backends without touching index code.
 class KvStore {
  public:
   virtual ~KvStore() = default;
@@ -92,25 +117,20 @@ class KvStore {
                             const std::string& range_key) = 0;
 
   // --- Store capability model -------------------------------------------
-  // Thread-safety contract: the capability queries below are consulted by
-  // IndexingStrategy::ExtractItems while sizing items, which the engine's
-  // host-parallel extraction pipeline runs on pooled threads concurrently
-  // with simulated traffic on the event-loop thread.  Implementations
-  // must therefore answer them from immutable configuration only — no
-  // billing, no virtual latency, no mutable state (the DynamoDB and
-  // SimpleDB simulations return compile-time constants).
-  virtual const char* Name() const = 0;
-  virtual uint64_t MaxItemBytes() const = 0;
-  virtual uint64_t MaxValueBytes() const = 0;
-  /// False means values must be printable text (SimpleDB), so binary
-  /// payloads like varint-encoded node-ID lists must be armoured (hex),
-  /// doubling their size — the key difference behind Tables 7 and 8.
-  virtual bool SupportsBinaryValues() const = 0;
-  virtual int BatchPutLimit() const = 0;
-  virtual int BatchGetLimit() const = 0;
-  /// Maximum attribute values a single item may carry (SimpleDB: 256
-  /// attributes per item; DynamoDB: bounded only by item size).
-  virtual uint64_t MaxValuesPerItem() const = 0;
+  // Thread-safety contract: IndexingStrategy::ExtractItems sizes items by
+  // these limits on the engine's pooled extraction threads, concurrently
+  // with simulated traffic on the event-loop thread.  They are therefore
+  // one constexpr StoreLimits record per backend, bound at construction
+  // and never written: no billing, no virtual latency, no mutable state.
+  // Decorators bind the record of the store they wrap.
+  const StoreLimits& Limits() const { return limits_; }
+  const char* Name() const { return limits_.name; }
+  uint64_t MaxItemBytes() const { return limits_.max_item_bytes; }
+  uint64_t MaxValueBytes() const { return limits_.max_value_bytes; }
+  bool SupportsBinaryValues() const { return limits_.binary_values; }
+  int BatchPutLimit() const { return limits_.batch_put_limit; }
+  int BatchGetLimit() const { return limits_.batch_get_limit; }
+  uint64_t MaxValuesPerItem() const { return limits_.max_values_per_item; }
 
   // --- Storage accounting (for Figure 8 and st$m) ------------------------
   /// Raw user bytes stored in `table` — sr(D, I) in Section 7.1.
@@ -119,23 +139,17 @@ class KvStore {
   virtual uint64_t OverheadBytes(const std::string& table) const = 0;
   virtual uint64_t ItemCount(const std::string& table) const = 0;
 
-  /// Sums over all tables.
-  uint64_t TotalStoredBytes() const;
-  uint64_t TotalOverheadBytes() const;
-  virtual std::vector<std::string> TableNames() const = 0;
-
-  // --- Host-side tooling (snapshots; not billed, no virtual latency) ----
-  /// Iterates every item of every table in deterministic order.
+  /// Iterates every item of every table in deterministic (table, hash,
+  /// range) order.  Host-side tooling: not billed, no virtual latency.
   virtual void ForEachItem(
       const std::function<void(const std::string&, const Item&)>& fn)
       const = 0;
-  /// Restores one item, creating its table if needed (accounting
-  /// updated, nothing billed).
-  virtual void RestoreItem(const std::string& table, const Item& item) = 0;
-  /// Recreates a table host-side — the unbilled, fault-free counterpart
-  /// of CreateTable that snapshot restore uses (cloud/snapshot.cc).
-  virtual Status RestoreTable(const std::string& table) = 0;
-  virtual bool Empty() const = 0;
+
+ protected:
+  explicit KvStore(const StoreLimits& limits) : limits_(limits) {}
+
+ private:
+  const StoreLimits& limits_;
 };
 
 /// FNV-1a 64 fingerprint of a canonical length-prefixed dump of every

@@ -8,7 +8,8 @@ ReplicatedKvStore::ReplicatedKvStore(KvStore* base, Deployment* deployment,
                                      UsageMeter* meter,
                                      common::MetricRegistry* metrics,
                                      common::Tracer* tracer)
-    : base_(base),
+    : KvStore(base->Limits()),
+      base_(base),
       deployment_(deployment),
       meter_(meter),
       tracer_(tracer),

@@ -56,18 +56,6 @@ class ReplicatedKvStore final : public KvStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
-
   uint64_t StoredBytes(const std::string& table) const override {
     return base_->StoredBytes(table);
   }
@@ -77,21 +65,11 @@ class ReplicatedKvStore final : public KvStore {
   uint64_t ItemCount(const std::string& table) const override {
     return base_->ItemCount(table);
   }
-  std::vector<std::string> TableNames() const override {
-    return base_->TableNames();
-  }
   void ForEachItem(
       const std::function<void(const std::string&, const Item&)>& fn)
       const override {
     base_->ForEachItem(fn);
   }
-  void RestoreItem(const std::string& table, const Item& item) override {
-    base_->RestoreItem(table, item);
-  }
-  Status RestoreTable(const std::string& table) override {
-    return base_->RestoreTable(table);
-  }
-  bool Empty() const override { return base_->Empty(); }
 
  private:
   /// True when the read that starts now may be served by a replica.

@@ -8,7 +8,8 @@ RetryingKvStore::RetryingKvStore(KvStore* base,
                                  CircuitBreaker* breaker,
                                  common::MetricRegistry* metrics,
                                  common::Tracer* tracer)
-    : base_(base),
+    : KvStore(base->Limits()),
+      base_(base),
       policy_(policy),
       seed_(seed),
       meter_(meter),

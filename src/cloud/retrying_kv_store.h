@@ -35,9 +35,9 @@ namespace webdex::cloud {
 /// retriable outcomes count against a table's health; a NotFound proves
 /// the service is up.
 ///
-/// The capability queries forward straight to the wrapped store (they are
-/// pure), so the decorator is safe to hand to the host-parallel extraction
-/// pipeline wherever the raw store was.
+/// The decorator shares the wrapped store's constexpr StoreLimits record,
+/// so it is safe to hand to the host-parallel extraction pipeline wherever
+/// the raw store was.
 class RetryingKvStore final : public KvStore {
  public:
   /// `breaker` may be null (no breaker gating).  `metrics` mirrors
@@ -77,18 +77,6 @@ class RetryingKvStore final : public KvStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
-
   uint64_t StoredBytes(const std::string& table) const override {
     return base_->StoredBytes(table);
   }
@@ -98,21 +86,11 @@ class RetryingKvStore final : public KvStore {
   uint64_t ItemCount(const std::string& table) const override {
     return base_->ItemCount(table);
   }
-  std::vector<std::string> TableNames() const override {
-    return base_->TableNames();
-  }
   void ForEachItem(
       const std::function<void(const std::string&, const Item&)>& fn)
       const override {
     base_->ForEachItem(fn);
   }
-  void RestoreItem(const std::string& table, const Item& item) override {
-    base_->RestoreItem(table, item);
-  }
-  Status RestoreTable(const std::string& table) override {
-    return base_->RestoreTable(table);
-  }
-  bool Empty() const override { return base_->Empty(); }
 
   const common::RetryPolicy& policy() const { return policy_; }
   CircuitBreaker* breaker() const { return breaker_; }

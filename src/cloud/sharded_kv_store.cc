@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <set>
 
 namespace webdex::cloud {
 
@@ -10,7 +9,8 @@ ShardedKvStore::ShardedKvStore(KvStore* base, Deployment* deployment,
                                UsageMeter* meter,
                                common::MetricRegistry* metrics,
                                common::Tracer* tracer)
-    : base_(base),
+    : KvStore(base->Limits()),
+      base_(base),
       deployment_(deployment),
       meter_(meter),
       metrics_(metrics),
@@ -216,14 +216,6 @@ uint64_t ShardedKvStore::ItemCount(const std::string& logical) const {
   return total;
 }
 
-std::vector<std::string> ShardedKvStore::TableNames() const {
-  std::set<std::string> logical;
-  for (const std::string& physical : base_->TableNames()) {
-    logical.insert(deployment_->LogicalName(physical));
-  }
-  return {logical.begin(), logical.end()};
-}
-
 void ShardedKvStore::ForEachItem(
     const std::function<void(const std::string&, const Item&)>& fn) const {
   // Fold physical tables back to logical ones and restore the unsharded
@@ -240,22 +232,6 @@ void ShardedKvStore::ForEachItem(
     });
     for (const Item& item : items) fn(logical, item);
   }
-}
-
-void ShardedKvStore::RestoreItem(const std::string& logical,
-                                 const Item& item) {
-  base_->RestoreItem(
-      deployment_->PhysicalName(logical, deployment_->ShardFor(item.hash_key)),
-      item);
-}
-
-Status ShardedKvStore::RestoreTable(const std::string& logical) {
-  for (int shard = 0; shard < deployment_->spec().shards; ++shard) {
-    Status status =
-        base_->RestoreTable(deployment_->PhysicalName(logical, shard));
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
 }
 
 }  // namespace webdex::cloud

@@ -68,33 +68,16 @@ class ShardedKvStore final : public KvStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  const char* Name() const override { return base_->Name(); }
-  uint64_t MaxItemBytes() const override { return base_->MaxItemBytes(); }
-  uint64_t MaxValueBytes() const override { return base_->MaxValueBytes(); }
-  bool SupportsBinaryValues() const override {
-    return base_->SupportsBinaryValues();
-  }
-  int BatchPutLimit() const override { return base_->BatchPutLimit(); }
-  int BatchGetLimit() const override { return base_->BatchGetLimit(); }
-  uint64_t MaxValuesPerItem() const override {
-    return base_->MaxValuesPerItem();
-  }
-
   /// Storage accounting sums over the logical table's physical shards.
   uint64_t StoredBytes(const std::string& logical) const override;
   uint64_t OverheadBytes(const std::string& logical) const override;
   uint64_t ItemCount(const std::string& logical) const override;
-  /// Logical table names (each reported once however many shards back it).
-  std::vector<std::string> TableNames() const override;
   /// Yields logical tables with each table's items in (hash, range) key
   /// order, exactly as an unsharded store would — the property behind
   /// cross-architecture fingerprint equality.
   void ForEachItem(
       const std::function<void(const std::string&, const Item&)>& fn)
       const override;
-  void RestoreItem(const std::string& logical, const Item& item) override;
-  Status RestoreTable(const std::string& logical) override;
-  bool Empty() const override { return base_->Empty(); }
 
  private:
   /// Per-physical-shard op counter `service.<svc>.<op>.s<shard>.count`.

@@ -1,7 +1,5 @@
 #include "cloud/simpledb.h"
 
-#include <cctype>
-
 #include "cloud/fault.h"
 #include "common/strings.h"
 
@@ -19,7 +17,8 @@ bool IsTextual(const std::string& value) {
 
 SimpleDb::SimpleDb(const SimpleDbConfig& config, UsageMeter* meter,
                    FaultInjector* injector, common::MetricRegistry* metrics)
-    : config_(config),
+    : TableStore(kLimits),
+      config_(config),
       meter_(meter),
       injector_(injector),
       batch_put_metrics_(OpMetrics::For(metrics, "service.simpledb.batch_put")),
@@ -55,49 +54,30 @@ Status SimpleDb::MaybeThrottle(SimAgent& agent, bool write, Micros op_start,
       hint);
 }
 
+Status SimpleDb::InjectFault(SimAgent& agent, const char* site,
+                             const std::string& table, bool write,
+                             Micros op_start, const OpMetrics& op) {
+  if (injector_ == nullptr) return Status::OK();
+  Status fault =
+      injector_->MaybeFail(ServiceId::kSimpleDb, site + table, agent.now());
+  if (fault.ok()) return fault;
+  Usage& usage = meter_->mutable_usage();
+  (write ? usage.sdb_put_requests : usage.sdb_get_requests) += 1;
+  agent.Advance(config_.request_latency);
+  op.Record(agent, op_start, /*error=*/true);
+  return fault;
+}
+
 Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
   const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    // Same contract as DynamoDb::CreateTable: a faulted create bills its
-    // round trip, a successful one is free (keeps legacy runs identical).
-    Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                        "sdb.createdomain:" + table,
-                                        agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().sdb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      create_table_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) {
-    create_table_metrics_.Record(agent, op_start, /*error=*/true);
-    return Status::AlreadyExists("domain exists: " + table);
-  }
-  create_table_metrics_.Record(agent, op_start, /*error=*/false);
-  return Status::OK();
-}
-
-Status SimpleDb::RestoreTable(const std::string& table) {
-  auto [it, inserted] = tables_.try_emplace(table);
-  (void)it;
-  if (!inserted) return Status::AlreadyExists("domain exists: " + table);
-  return Status::OK();
-}
-
-bool SimpleDb::HasTable(const std::string& table) const {
-  return tables_.count(table) > 0;
-}
-
-uint64_t SimpleDb::AttributeCount(const Attributes& attrs) {
-  uint64_t n = 0;
-  for (const auto& [name, values] : attrs) {
-    (void)name;
-    n += values.size();
-  }
-  return n;
+  // Same contract as DynamoDb::CreateTable: a faulted create bills its
+  // round trip, a successful one is free (keeps legacy runs identical).
+  WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "sdb.createdomain:", table,
+                                     /*write=*/true, op_start,
+                                     create_table_metrics_));
+  const Status created = AddTable(table);
+  create_table_metrics_.Record(agent, op_start, /*error=*/!created.ok());
+  return created;
 }
 
 Status SimpleDb::ValidateItem(const Item& item) const {
@@ -107,7 +87,7 @@ Status SimpleDb::ValidateItem(const Item& item) const {
   if (item.hash_key.size() + item.range_key.size() > 1024) {
     return Status::InvalidArgument("item name exceeds 1KB");
   }
-  if (AttributeCount(item.attrs) > 256) {
+  if (ValueCount(item.attrs) > 256) {
     return Status::InvalidArgument("more than 256 attributes per item");
   }
   for (const auto& [name, values] : item.attrs) {
@@ -132,61 +112,36 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
                           const std::vector<Item>& items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   for (const auto& item : items) {
     WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
   }
-  Table& t = it->second;
   const int batch_limit = BatchPutLimit();
   size_t index = 0;
   while (index < items.size()) {
     const size_t batch_end =
         std::min(items.size(), index + static_cast<size_t>(batch_limit));
     const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      // A failed page bills its API round trip but no box usage (the
-      // data-proportional term); nothing of the page commits, and
-      // everything not yet stored is reported back for re-batching.
-      Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                          "sdb.batchput:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().sdb_put_requests += 1;
-        agent.Advance(config_.request_latency);
-        batch_put_metrics_.Record(agent, page_start, /*error=*/true);
-        if (unprocessed != nullptr) {
-          unprocessed->insert(unprocessed->end(), items.begin() + index,
-                              items.end());
-        }
-        return fault;
-      }
+    // A failed or throttled page bills its API round trip but no box
+    // usage (the data-proportional term); nothing of the page commits,
+    // and everything not yet stored is reported back for re-batching.
+    Status admitted = InjectFault(agent, "sdb.batchput:", table,
+                                  /*write=*/true, page_start,
+                                  batch_put_metrics_);
+    if (admitted.ok()) {
+      admitted =
+          MaybeThrottle(agent, /*write=*/true, page_start, batch_put_metrics_);
     }
-    Status throttled =
-        MaybeThrottle(agent, /*write=*/true, page_start, batch_put_metrics_);
-    if (!throttled.ok()) {
+    if (!admitted.ok()) {
       if (unprocessed != nullptr) {
         unprocessed->insert(unprocessed->end(), items.begin() + index,
                             items.end());
       }
-      return throttled;
+      return admitted;
     }
     double box_hours = 0;
     for (size_t i = index; i < batch_end; ++i) {
-      const Item& item = items[i];
-      auto& hash_items = t.items[item.hash_key];
-      auto slot = hash_items.find(item.range_key);
-      if (slot != hash_items.end()) {
-        const Item old{item.hash_key, item.range_key, slot->second};
-        t.stored_bytes -= old.SizeBytes();
-        t.item_count -= 1;
-        t.attribute_count -= AttributeCount(slot->second);
-        slot->second = item.attrs;
-      } else {
-        hash_items.emplace(item.range_key, item.attrs);
-      }
-      t.stored_bytes += item.SizeBytes();
-      t.item_count += 1;
-      t.attribute_count += AttributeCount(item.attrs);
+      Put(*t, items[i]);
       box_hours += meter_->pricing().simpledb_box_hours_per_put;
       meter_->mutable_usage().sdb_put_requests += 1;
     }
@@ -202,32 +157,18 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
 Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
                                         const std::string& table,
                                         const std::string& hash_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                        "sdb.get:" + table, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().sdb_get_requests += 1;
-      agent.Advance(config_.request_latency);
-      get_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
+  WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "sdb.get:", table,
+                                     /*write=*/false, op_start, get_metrics_));
   WEBDEX_RETURN_IF_ERROR(
       MaybeThrottle(agent, /*write=*/false, op_start, get_metrics_));
   std::vector<Item> out;
-  auto hit = it->second.items.find(hash_key);
-  if (hit != it->second.items.end()) {
-    for (const auto& [range_key, attrs] : hit->second) {
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  AppendHashItems(*t, hash_key, &out);
   // SimpleDB's select paginates at 2500 attributes / 1 MB; model one extra
   // request round trip per page.
   uint64_t attr_total = 0;
-  for (const auto& item : out) attr_total += AttributeCount(item.attrs);
+  for (const auto& item : out) attr_total += ValueCount(item.attrs);
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   meter_->mutable_usage().sdb_get_requests += pages;
   meter_->mutable_usage().sdb_box_hours +=
@@ -255,30 +196,18 @@ Result<std::vector<Item>> SimpleDb::BatchGet(
 
 Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
                                         const std::string& table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   std::vector<Item> out;
-  uint64_t attr_total = 0;
-  for (const auto& [hash_key, ranges] : it->second.items) {
-    for (const auto& [range_key, attrs] : ranges) {
-      attr_total += AttributeCount(attrs);
-      out.push_back(Item{hash_key, range_key, attrs});
-    }
-  }
+  AppendAllItems(*t, &out);
   // A full select paginates at 2500 attributes, like Get.
+  uint64_t attr_total = 0;
+  for (const auto& item : out) attr_total += ValueCount(item.attrs);
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   for (uint64_t page = 0; page < pages; ++page) {
     const Micros page_start = agent.now();
-    if (injector_ != nullptr) {
-      Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                          "sdb.scan:" + table, agent.now());
-      if (!fault.ok()) {
-        meter_->mutable_usage().sdb_get_requests += 1;
-        agent.Advance(config_.request_latency);
-        scan_metrics_.Record(agent, page_start, /*error=*/true);
-        return fault;
-      }
-    }
+    WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "sdb.scan:", table,
+                                       /*write=*/false, page_start,
+                                       scan_metrics_));
     WEBDEX_RETURN_IF_ERROR(
         MaybeThrottle(agent, /*write=*/false, page_start, scan_metrics_));
     meter_->mutable_usage().sdb_get_requests += 1;
@@ -294,34 +223,14 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
 Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
                             const std::string& hash_key,
                             const std::string& range_key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("no such domain: " + table);
+  WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   const Micros op_start = agent.now();
-  if (injector_ != nullptr) {
-    Status fault = injector_->MaybeFail(ServiceId::kSimpleDb,
-                                        "sdb.delete:" + table, agent.now());
-    if (!fault.ok()) {
-      meter_->mutable_usage().sdb_put_requests += 1;
-      agent.Advance(config_.request_latency);
-      delete_metrics_.Record(agent, op_start, /*error=*/true);
-      return fault;
-    }
-  }
+  WEBDEX_RETURN_IF_ERROR(InjectFault(agent, "sdb.delete:", table,
+                                     /*write=*/true, op_start,
+                                     delete_metrics_));
   WEBDEX_RETURN_IF_ERROR(
       MaybeThrottle(agent, /*write=*/true, op_start, delete_metrics_));
-  Table& t = it->second;
-  auto hit = t.items.find(hash_key);
-  if (hit != t.items.end()) {
-    auto slot = hit->second.find(range_key);
-    if (slot != hit->second.end()) {
-      const Item old{hash_key, range_key, slot->second};
-      t.stored_bytes -= old.SizeBytes();
-      t.item_count -= 1;
-      t.attribute_count -= AttributeCount(slot->second);
-      hit->second.erase(slot);
-      if (hit->second.empty()) t.items.erase(hit);
-    }
-  }
+  Erase(*t, hash_key, range_key);
   meter_->mutable_usage().sdb_put_requests += 1;
   meter_->mutable_usage().sdb_box_hours +=
       meter_->pricing().simpledb_box_hours_per_put;
@@ -329,52 +238,6 @@ Status SimpleDb::DeleteItem(SimAgent& agent, const std::string& table,
   agent.Advance(config_.request_latency);
   delete_metrics_.Record(agent, op_start, /*error=*/false);
   return Status::OK();
-}
-
-uint64_t SimpleDb::StoredBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.stored_bytes;
-}
-
-uint64_t SimpleDb::OverheadBytes(const std::string& table) const {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return 0;
-  return it->second.item_count * kPerItemOverheadBytes +
-         it->second.attribute_count * kPerAttributeOverheadBytes;
-}
-
-uint64_t SimpleDb::ItemCount(const std::string& table) const {
-  auto it = tables_.find(table);
-  return it == tables_.end() ? 0 : it->second.item_count;
-}
-
-void SimpleDb::ForEachItem(
-    const std::function<void(const std::string&, const Item&)>& fn) const {
-  for (const auto& [name, table] : tables_) {
-    for (const auto& [hash_key, ranges] : table.items) {
-      for (const auto& [range_key, attrs] : ranges) {
-        fn(name, Item{hash_key, range_key, attrs});
-      }
-    }
-  }
-}
-
-void SimpleDb::RestoreItem(const std::string& table, const Item& item) {
-  Table& t = tables_[table];
-  t.items[item.hash_key][item.range_key] = item.attrs;
-  t.stored_bytes += item.SizeBytes();
-  t.item_count += 1;
-  t.attribute_count += AttributeCount(item.attrs);
-}
-
-std::vector<std::string> SimpleDb::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
-    (void)table;
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace webdex::cloud

@@ -1,12 +1,11 @@
 #ifndef WEBDEX_CLOUD_SIMPLEDB_H_
 #define WEBDEX_CLOUD_SIMPLEDB_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "cloud/kv_store.h"
 #include "cloud/sim.h"
+#include "cloud/table_store.h"
 #include "cloud/trace.h"
 #include "cloud/usage.h"
 #include "common/metrics.h"
@@ -37,7 +36,7 @@ struct SimpleDbConfig {
 ///   * "box usage" machine-hour billing per request.
 class FaultInjector;
 
-class SimpleDb final : public KvStore {
+class SimpleDb final : public TableStore {
  public:
   /// `injector` may be null (no fault injection); `metrics` may be null
   /// (no per-op `service.simpledb.*` metrics).
@@ -48,8 +47,22 @@ class SimpleDb final : public KvStore {
   SimpleDb(const SimpleDb&) = delete;
   SimpleDb& operator=(const SimpleDb&) = delete;
 
+  /// SimpleDB billed 45 bytes of storage overhead per item name and per
+  /// attribute name-value pair.
+  static constexpr StoreLimits kLimits = {
+      .name = "SimpleDB",
+      .table_noun = "domain",
+      .max_item_bytes = 256 * 1024,
+      .max_value_bytes = 1024,
+      .binary_values = false,
+      .batch_put_limit = 25,
+      .batch_get_limit = 20,
+      .max_values_per_item = 255,
+      .item_overhead_bytes = 45,
+      .value_overhead_bytes = 45,
+  };
+
   Status CreateTable(SimAgent& agent, const std::string& table) override;
-  bool HasTable(const std::string& table) const override;
   Status BatchPut(SimAgent& agent, const std::string& table,
                   const std::vector<Item>& items,
                   std::vector<Item>* unprocessed = nullptr) override;
@@ -64,41 +77,14 @@ class SimpleDb final : public KvStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  const char* Name() const override { return "SimpleDB"; }
-  uint64_t MaxItemBytes() const override { return 256 * 1024; }
-  uint64_t MaxValueBytes() const override { return 1024; }
-  bool SupportsBinaryValues() const override { return false; }
-  int BatchPutLimit() const override { return 25; }
-  int BatchGetLimit() const override { return 20; }
-  uint64_t MaxValuesPerItem() const override { return 255; }
-
-  uint64_t StoredBytes(const std::string& table) const override;
-  uint64_t OverheadBytes(const std::string& table) const override;
-  uint64_t ItemCount(const std::string& table) const override;
-  std::vector<std::string> TableNames() const override;
-  void ForEachItem(
-      const std::function<void(const std::string&, const Item&)>& fn)
-      const override;
-  void RestoreItem(const std::string& table, const Item& item) override;
-  Status RestoreTable(const std::string& table) override;
-  bool Empty() const override { return tables_.empty(); }
-
-  /// SimpleDB billed 45 bytes of storage overhead per item name and per
-  /// attribute name-value pair.
-  static constexpr uint64_t kPerItemOverheadBytes = 45;
-  static constexpr uint64_t kPerAttributeOverheadBytes = 45;
-
  private:
-  struct Table {
-    std::map<std::string, std::map<std::string, Attributes>> items;
-    uint64_t stored_bytes = 0;
-    uint64_t item_count = 0;
-    uint64_t attribute_count = 0;
-  };
+  Status ValidateItem(const Item& item) const override;
 
-  Status ValidateItem(const Item& item) const;
-  static uint64_t AttributeCount(const Attributes& attrs);
-
+  /// Injected-fault preamble of every billed call; same contract as
+  /// DynamoDb::InjectFault (bills the request round trip, no box usage).
+  Status InjectFault(SimAgent& agent, const char* site,
+                     const std::string& table, bool write, Micros op_start,
+                     const OpMetrics& op);
   /// Organic throttle over the request-rate cap; same contract as
   /// DynamoDb::MaybeThrottle (bills the rejected request's round trip,
   /// no box usage, returns kResourceExhausted + Retry-After hint).
@@ -115,7 +101,6 @@ class SimpleDb final : public KvStore {
   OpMetrics create_table_metrics_;
   common::Counter* throttled_metric_ = nullptr;
   RateLimiter request_limiter_;
-  std::map<std::string, Table> tables_;
 };
 
 }  // namespace webdex::cloud

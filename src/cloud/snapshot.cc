@@ -59,7 +59,7 @@ Result<std::string> GetString(const std::string& data, size_t* offset) {
   return out;
 }
 
-void SerializeKvStore(const KvStore& store, std::string* out) {
+void SerializeKvStore(const TableStore& store, std::string* out) {
   const auto tables = store.TableNames();
   PutVarint64(out, tables.size());
   for (const auto& table : tables) PutString(out, table);
@@ -80,16 +80,16 @@ void SerializeKvStore(const KvStore& store, std::string* out) {
 }
 
 Status RestoreKvStore(const std::string& data, size_t* offset,
-                      KvStore* store) {
+                      TableStore* store) {
   WEBDEX_ASSIGN_OR_RETURN(uint64_t table_count, GetVarint64(data, offset));
   for (uint64_t t = 0; t < table_count; ++t) {
     WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(data, offset));
     WEBDEX_RETURN_IF_ERROR(store->RestoreTable(table));
   }
   WEBDEX_ASSIGN_OR_RETURN(uint64_t item_count, GetVarint64(data, offset));
-  // Items are written in strictly increasing (table, hash, range) order,
-  // so a repeated key cannot sneak in and be double-counted by the
-  // backends' RestoreItem bookkeeping (stored bytes, item counts).
+  // Items are written in strictly increasing (table, hash, range) order;
+  // an image that repeats or reorders keys was not written by
+  // SerializeKvStore.
   std::string prev_table;
   Item prev;
   for (uint64_t i = 0; i < item_count; ++i) {
@@ -109,14 +109,16 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
       }
       item.attrs.emplace(std::move(name), std::move(values));
     }
-    if (!store->HasTable(table)) {
-      return Status::Corruption("snapshot item references unknown table");
-    }
     if (i > 0 && std::tie(prev_table, prev.hash_key, prev.range_key) >=
                      std::tie(table, item.hash_key, item.range_key)) {
       return Status::Corruption("snapshot items duplicated or out of order");
     }
-    store->RestoreItem(table, item);
+    // An unknown table, or an item the live store would refuse.
+    const Status restored = store->RestoreItem(table, item);
+    if (!restored.ok()) {
+      return Status::Corruption("snapshot item rejected: " +
+                                restored.ToString());
+    }
     prev_table = std::move(table);
     prev = std::move(item);
   }

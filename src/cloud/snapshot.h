@@ -27,7 +27,8 @@ std::string SerializeSnapshot(CloudEnv& env);
 
 /// Restores a serialized snapshot into `env`, which must be freshly
 /// constructed (no buckets or tables).  Fails with Corruption on any
-/// malformed input and with AlreadyExists if `env` is not empty.
+/// malformed input, including an item its store's own validation refuses,
+/// and with AlreadyExists if `env` is not empty.
 Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env);
 
 /// File-based convenience wrappers.

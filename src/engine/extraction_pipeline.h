@@ -59,7 +59,7 @@ class ExtractionPipeline {
   /// `pool` must outlive the pipeline.  `strategy`, `store` and `s3` are
   /// read from pooled threads: `s3`'s data bucket must not be mutated
   /// while the pipeline is live, and `store` is only consulted through
-  /// its immutable capability queries.
+  /// its immutable StoreLimits record.
   ExtractionPipeline(common::ThreadPool* pool,
                      const index::IndexingStrategy* strategy,
                      const index::ExtractOptions& options,

@@ -61,22 +61,6 @@ TEST_F(DynamoDbTest, UnknownTableFails) {
   EXPECT_TRUE(db_.CreateTable(agent_, "t").IsAlreadyExists());
 }
 
-TEST_F(DynamoDbTest, SamePrimaryKeyReplacesItem) {
-  ASSERT_TRUE(
-      db_.BatchPut(agent_, "t", {MakeItem("k", "r", {{"a", {"old-value"}}})})
-          .ok());
-  ASSERT_TRUE(db_.BatchPut(agent_, "t", {MakeItem("k", "r", {{"b", {"x"}}})})
-                  .ok());
-  auto items = db_.Get(agent_, "t", "k");
-  ASSERT_EQ(items.value().size(), 1u);
-  EXPECT_EQ(items.value()[0].attrs.count("a"), 0u);
-  EXPECT_EQ(items.value()[0].attrs.at("b")[0], "x");
-  EXPECT_EQ(db_.ItemCount("t"), 1u);
-  // Stored bytes reflect only the replacement.
-  const Item replacement = MakeItem("k", "r", {{"b", {"x"}}});
-  EXPECT_EQ(db_.StoredBytes("t"), replacement.SizeBytes());
-}
-
 TEST_F(DynamoDbTest, RejectsOversizedItem) {
   std::string huge(65 * 1024, 'x');
   auto status =
@@ -175,8 +159,8 @@ TEST_F(DynamoDbTest, StorageOverheadPerItem) {
                            {MakeItem("k", "r1", {{"u", {"v"}}}),
                             MakeItem("k", "r2", {{"u", {"v"}}})})
                   .ok());
-  EXPECT_EQ(db_.OverheadBytes("t"), 2 * DynamoDb::kItemOverheadBytes);
-  EXPECT_EQ(db_.TotalOverheadBytes(), 2 * DynamoDb::kItemOverheadBytes);
+  EXPECT_EQ(db_.OverheadBytes("t"),
+            2 * DynamoDb::kLimits.item_overhead_bytes);
 }
 
 TEST_F(DynamoDbTest, TableNames) {

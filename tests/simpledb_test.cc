@@ -86,21 +86,9 @@ TEST_F(SimpleDbTest, OverheadPerItemAndAttribute) {
   ASSERT_TRUE(db_.BatchPut(agent_, "d",
                            {MakeItem("k", "r", {{"doc", {"a", "b"}}})})
                   .ok());
-  EXPECT_EQ(db_.OverheadBytes("d"), SimpleDb::kPerItemOverheadBytes +
-                                        2 * SimpleDb::kPerAttributeOverheadBytes);
-}
-
-TEST_F(SimpleDbTest, ReplacementUpdatesAccounting) {
-  ASSERT_TRUE(db_.BatchPut(agent_, "d",
-                           {MakeItem("k", "r", {{"doc", {"aaaa", "bb"}}})})
-                  .ok());
-  ASSERT_TRUE(
-      db_.BatchPut(agent_, "d", {MakeItem("k", "r", {{"doc", {"c"}}})}).ok());
-  EXPECT_EQ(db_.ItemCount("d"), 1u);
-  const Item current = MakeItem("k", "r", {{"doc", {"c"}}});
-  EXPECT_EQ(db_.StoredBytes("d"), current.SizeBytes());
-  EXPECT_EQ(db_.OverheadBytes("d"), SimpleDb::kPerItemOverheadBytes +
-                                        SimpleDb::kPerAttributeOverheadBytes);
+  EXPECT_EQ(db_.OverheadBytes("d"),
+            SimpleDb::kLimits.item_overhead_bytes +
+                2 * SimpleDb::kLimits.value_overhead_bytes);
 }
 
 TEST_F(SimpleDbTest, CapabilityModel) {

@@ -92,8 +92,8 @@ TEST(SnapshotTest, RejectsGarbageAndTruncation) {
 }
 
 // Item records must arrive in the strictly increasing (table, hash,
-// range) order SerializeSnapshot writes: a repeated key would otherwise
-// restore "OK" with stored bytes and item counts double-counted.
+// range) order SerializeSnapshot writes; an image that repeats or
+// reorders keys was not written by it.
 TEST(SnapshotTest, RejectsDuplicateAndUnorderedItems) {
   CloudEnv env;
   Agent agent;
@@ -125,6 +125,61 @@ TEST(SnapshotTest, RejectsDuplicateAndUnorderedItems) {
     CloudEnv target;
     EXPECT_TRUE(RestoreSnapshot(image, &target).IsCorruption());
   }
+}
+
+/// Replaces the single occurrence of `record` in `snapshot` by `tampered`.
+std::string Tamper(const std::string& snapshot, const std::string& record,
+                   const std::string& tampered) {
+  const size_t at = snapshot.find(record);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(snapshot.find(record, at + 1), std::string::npos);
+  std::string image = snapshot;
+  if (at != std::string::npos) image.replace(at, record.size(), tampered);
+  return image;
+}
+
+// Restore holds items to the live store's own validation: a SimpleDB
+// value flipped to binary restores as Corruption instead of being served
+// by Get, exactly as the live BatchPut refuses it.
+TEST(SnapshotTest, RejectsSimpleDbItemTheLiveStoreRefuses) {
+  CloudEnv env;
+  Agent agent;
+  ASSERT_TRUE(env.simpledb().CreateTable(agent, "legacy").ok());
+  ASSERT_TRUE(env.simpledb()
+                  .BatchPut(agent, "legacy",
+                            {Item{"k", "r", {{"doc", {"textZ"}}}}})
+                  .ok());
+  const std::string image =
+      Tamper(SerializeSnapshot(env), "\x05textZ", "\x05\x01" "extZ");
+  CloudEnv target;
+  EXPECT_TRUE(RestoreSnapshot(image, &target).IsCorruption());
+  EXPECT_TRUE(env.simpledb()
+                  .BatchPut(agent, "legacy",
+                            {Item{"k", "r", {{"doc", {"\x01" "extZ"}}}}})
+                  .IsInvalidArgument());
+}
+
+// The same for DynamoDB: an empty range key (the length-prefixed "r"
+// replaced by a zero length, which keeps the stream framed).
+TEST(SnapshotTest, RejectsDynamoDbItemTheLiveStoreRefuses) {
+  CloudEnv env;
+  Agent agent;
+  ASSERT_TRUE(env.dynamodb().CreateTable(agent, "idx").ok());
+  ASSERT_TRUE(env.dynamodb()
+                  .BatchPut(agent, "idx", {Item{"k", "r", {{"u", {"v"}}}}})
+                  .ok());
+  const std::string record("\x03idx\x01k\x01r\x01\x01u\x01\x01v", 14);
+  const std::string emptied("\x03idx\x01k\x00\x01\x01u\x01\x01v", 13);
+  const std::string snapshot = SerializeSnapshot(env);
+  CloudEnv untouched;
+  ASSERT_TRUE(RestoreSnapshot(snapshot, &untouched).ok());
+  CloudEnv target;
+  EXPECT_TRUE(
+      RestoreSnapshot(Tamper(snapshot, record, emptied), &target)
+          .IsCorruption());
+  EXPECT_TRUE(env.dynamodb()
+                  .BatchPut(agent, "idx", {Item{"k", "", {{"u", {"v"}}}}})
+                  .IsInvalidArgument());
 }
 
 TEST(SnapshotTest, RefusesNonEmptyTarget) {
