@@ -1,5 +1,7 @@
 #include "cloud/dynamodb.h"
 
+#include <iterator>
+
 #include "cloud/autoscaler.h"
 #include "cloud/fault.h"
 #include "common/strings.h"
@@ -191,7 +193,8 @@ Status DynamoDb::MaybeThrottle(SimAgent& agent, const RateLimiter& limiter,
       hint);
 }
 
-Status DynamoDb::ValidateItem(const Item& item) const {
+Status DynamoDb::ValidateItem(const Item& item,
+                              const Footprint& size) const {
   if (item.hash_key.empty()) {
     return Status::InvalidArgument("empty hash key");
   }
@@ -204,23 +207,22 @@ Status DynamoDb::ValidateItem(const Item& item) const {
   if (item.range_key.size() > 1024) {
     return Status::InvalidArgument("range key exceeds 1KB");
   }
-  if (item.SizeBytes() > MaxItemBytes()) {
+  if (size.bytes > MaxItemBytes()) {
     return Status::InvalidArgument(
         StrFormat("item exceeds 64KB (%llu bytes) for hash key %s",
-                  static_cast<unsigned long long>(item.SizeBytes()),
+                  static_cast<unsigned long long>(size.bytes),
                   item.hash_key.c_str()));
   }
   return Status::OK();
 }
 
 Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
-                          const std::vector<Item>& items,
+                          std::vector<Item> items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
-  for (const auto& item : items) {
-    WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
-  }
+  WEBDEX_ASSIGN_OR_RETURN(const std::vector<Footprint> sizes,
+                          MeasureAll(items));
   const int batch_limit = BatchPutLimit();
   size_t index = 0;
   while (index < items.size()) {
@@ -239,8 +241,9 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
     }
     if (!admitted.ok()) {
       if (unprocessed != nullptr) {
-        unprocessed->insert(unprocessed->end(), items.begin() + index,
-                            items.end());
+        unprocessed->insert(unprocessed->end(),
+                            std::make_move_iterator(items.begin() + index),
+                            std::make_move_iterator(items.end()));
       }
       return admitted;
     }
@@ -257,8 +260,8 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
     }
     double batch_units = 0;
     for (size_t i = index; i < commit_end; ++i) {
-      Put(*t, items[i]);
-      batch_units += WriteUnits(items[i].SizeBytes());
+      Put(*t, std::move(items[i]), sizes[i]);
+      batch_units += WriteUnits(sizes[i].bytes);
       meter_->mutable_usage().ddb_items_written += 1;
     }
     meter_->mutable_usage().ddb_put_requests += 1;
@@ -267,8 +270,9 @@ Status DynamoDb::BatchPut(SimAgent& agent, const std::string& table,
     agent.Advance(config_.request_latency);
     batch_put_metrics_.Record(agent, page_start, /*error=*/false);
     if (commit_end < batch_end) {
-      unprocessed->insert(unprocessed->end(), items.begin() + commit_end,
-                          items.begin() + batch_end);
+      unprocessed->insert(unprocessed->end(),
+                          std::make_move_iterator(items.begin() + commit_end),
+                          std::make_move_iterator(items.begin() + batch_end));
     }
     index = batch_end;
   }
@@ -285,11 +289,10 @@ Result<std::vector<Item>> DynamoDb::Get(SimAgent& agent,
   WEBDEX_RETURN_IF_ERROR(MaybeThrottle(agent, read_limiter_, /*write=*/false,
                                        op_start, get_metrics_));
   std::vector<Item> out;
-  AppendHashItems(*t, hash_key, &out);
+  std::vector<Footprint> sizes;
+  AppendHashItems(*t, hash_key, &out, &sizes);
   double units = 0;
-  for (const auto& item : out) {
-    units += ReadUnits(item.SizeBytes());
-  }
+  for (const Footprint& size : sizes) units += ReadUnits(size.bytes);
   if (units == 0) units = ReadUnits(0);  // a miss still does a seek
   meter_->mutable_usage().ddb_get_requests += 1;
   MeterReadUnits(units);
@@ -304,6 +307,7 @@ Result<std::vector<Item>> DynamoDb::BatchGet(
     const std::vector<std::string>& hash_keys) {
   WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   std::vector<Item> out;
+  std::vector<Footprint> sizes;
   const int batch_limit = BatchGetLimit();
   size_t index = 0;
   while (index < hash_keys.size()) {
@@ -318,11 +322,11 @@ Result<std::vector<Item>> DynamoDb::BatchGet(
                                          batch_get_metrics_));
     const size_t page_first = out.size();
     for (size_t i = index; i < batch_end; ++i) {
-      AppendHashItems(*t, hash_keys[i], &out);
+      AppendHashItems(*t, hash_keys[i], &out, &sizes);
     }
     double units = 0;
     for (size_t i = page_first; i < out.size(); ++i) {
-      units += ReadUnits(out[i].SizeBytes());
+      units += ReadUnits(sizes[i].bytes);
     }
     if (units == 0) units = ReadUnits(0);
     meter_->mutable_usage().ddb_get_requests += 1;
@@ -339,7 +343,8 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
                                         const std::string& table) {
   WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   std::vector<Item> out;
-  AppendAllItems(*t, &out);
+  std::vector<Footprint> sizes;
+  AppendAllItems(*t, &out, &sizes);
   // Page through at the 1 MB scan limit; every page is a billed request
   // that consumes read capacity for the bytes it returns.
   constexpr uint64_t kScanPageBytes = 1024 * 1024;
@@ -355,7 +360,7 @@ Result<std::vector<Item>> DynamoDb::Scan(SimAgent& agent,
     uint64_t page_bytes = 0;
     double units = 0;
     while (index < out.size() && page_bytes < kScanPageBytes) {
-      const uint64_t bytes = out[index].SizeBytes();
+      const uint64_t bytes = sizes[index].bytes;
       page_bytes += bytes;
       units += ReadUnits(bytes);
       ++index;

@@ -71,7 +71,7 @@ class DynamoDb final : public TableStore {
 
   Status CreateTable(SimAgent& agent, const std::string& table) override;
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::vector<Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;
@@ -140,7 +140,8 @@ class DynamoDb final : public TableStore {
   static constexpr double kMinReadBytes = 128;
 
  private:
-  Status ValidateItem(const Item& item) const override;
+  Status ValidateItem(const Item& item,
+                      const Footprint& size) const override;
 
   /// Injected-fault preamble of every billed call: when the injector
   /// fails site `site` + `table`, bills the API request (a put request if

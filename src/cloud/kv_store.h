@@ -85,8 +85,14 @@ class KvStore {
   /// error status, `*unprocessed` holds every item not yet stored.  When
   /// `unprocessed` is null the caller cannot observe partial success, so
   /// stores must not inject it.  `*unprocessed` is cleared on entry.
+  ///
+  /// Ownership: `items` is taken by value, so the store keeps what it
+  /// commits without copying it.  Callers that are done with their items
+  /// `std::move` them in; an lvalue argument is copied.  Every item handed
+  /// back in `*unprocessed` is intact, byte for byte the item passed in —
+  /// only committed items are consumed.
   virtual Status BatchPut(SimAgent& agent, const std::string& table,
-                          const std::vector<Item>& items,
+                          std::vector<Item> items,
                           std::vector<Item>* unprocessed = nullptr) = 0;
 
   /// Returns all items whose hash key equals `hash_key` (the get(T,k)

@@ -51,9 +51,9 @@ bool ReplicatedKvStore::HasTable(const std::string& table) const {
 }
 
 Status ReplicatedKvStore::BatchPut(SimAgent& agent, const std::string& table,
-                                   const std::vector<Item>& items,
+                                   std::vector<Item> items,
                                    std::vector<Item>* unprocessed) {
-  Status status = base_->BatchPut(agent, table, items, unprocessed);
+  Status status = base_->BatchPut(agent, table, std::move(items), unprocessed);
   // Even a failed round may have committed a prefix; moving the watermark
   // on every attempt is the conservative (read-your-writes-safe) choice.
   deployment_->RecordWrite(table, agent.now());

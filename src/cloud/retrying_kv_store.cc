@@ -82,7 +82,7 @@ bool RetryingKvStore::HasTable(const std::string& table) const {
 }
 
 Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
-                                 const std::vector<Item>& items,
+                                 std::vector<Item> items,
                                  std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   Rng& rng = StreamFor("retry:batchput:" + table);
@@ -90,8 +90,9 @@ Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
   // unprocessed items after a partial success, or the uncommitted suffix
   // after a transient page error.  Re-puts of committed items are
   // harmless anyway (replacement semantics, UUID range keys) — this just
-  // avoids paying their write units twice.
-  std::vector<Item> pending = items;
+  // avoids paying their write units twice.  Each round moves `pending`
+  // into the store, which hands the uncommitted items back in `leftover`.
+  std::vector<Item> pending = std::move(items);
   std::vector<Item> leftover;
   int64_t slept = 0;
   for (int attempt = 1;; ++attempt) {
@@ -104,12 +105,12 @@ Status RetryingKvStore::BatchPut(SimAgent& agent, const std::string& table,
       if (attempts_metric_ != nullptr) attempts_metric_->Add(1);
       status = Gate(agent, table);
       if (status.ok()) {
-        status = base_->BatchPut(agent, table, pending, &leftover);
+        status = base_->BatchPut(agent, table, std::move(pending), &leftover);
         Record(agent, table, status);
       } else {
         // Breaker short-circuit: nothing was attempted or billed; the
         // backoff below still advances virtual time toward the cooldown.
-        leftover = pending;
+        leftover = std::move(pending);
       }
       if (!status.ok()) span.AddAttr("error", 1);
     }

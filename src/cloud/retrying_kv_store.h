@@ -64,7 +64,7 @@ class RetryingKvStore final : public KvStore {
   /// with the survivors in `*unprocessed` (when non-null) so the caller
   /// can decide between abandoning the task and dead-lettering it.
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::vector<Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;

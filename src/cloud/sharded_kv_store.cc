@@ -56,14 +56,14 @@ bool ShardedKvStore::HasTable(const std::string& logical) const {
 }
 
 Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
-                                const std::vector<Item>& items,
+                                std::vector<Item> items,
                                 std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   const int shards = deployment_->spec().shards;
   std::vector<std::vector<Item>> per_shard(static_cast<size_t>(shards));
-  for (const Item& item : items) {
+  for (Item& item : items) {
     per_shard[static_cast<size_t>(deployment_->ShardFor(item.hash_key))]
-        .push_back(item);
+        .push_back(std::move(item));
   }
   if (route_metric_ != nullptr) route_metric_->Add(items.size());
   int touched = 0;
@@ -79,7 +79,8 @@ Status ShardedKvStore::BatchPut(SimAgent& agent, const std::string& logical,
     bounced.clear();
     Status status =
         base_->BatchPut(agent, deployment_->PhysicalName(logical, shard),
-                        group, unprocessed == nullptr ? nullptr : &bounced);
+                        std::move(group),
+                        unprocessed == nullptr ? nullptr : &bounced);
     if (unprocessed != nullptr) {
       unprocessed->insert(unprocessed->end(),
                           std::make_move_iterator(bounced.begin()),

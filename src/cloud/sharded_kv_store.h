@@ -55,7 +55,7 @@ class ShardedKvStore final : public KvStore {
   Status CreateTable(SimAgent& agent, const std::string& logical) override;
   bool HasTable(const std::string& logical) const override;
   Status BatchPut(SimAgent& agent, const std::string& logical,
-                  const std::vector<Item>& items,
+                  std::vector<Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& logical,
                                 const std::string& hash_key) override;

@@ -1,5 +1,7 @@
 #include "cloud/simpledb.h"
 
+#include <iterator>
+
 #include "cloud/fault.h"
 #include "common/strings.h"
 
@@ -80,14 +82,15 @@ Status SimpleDb::CreateTable(SimAgent& agent, const std::string& table) {
   return created;
 }
 
-Status SimpleDb::ValidateItem(const Item& item) const {
+Status SimpleDb::ValidateItem(const Item& item,
+                              const Footprint& size) const {
   if (item.hash_key.empty() || item.range_key.empty()) {
     return Status::InvalidArgument("empty key");
   }
   if (item.hash_key.size() + item.range_key.size() > 1024) {
     return Status::InvalidArgument("item name exceeds 1KB");
   }
-  if (ValueCount(item.attrs) > 256) {
+  if (size.values > 256) {
     return Status::InvalidArgument("more than 256 attributes per item");
   }
   for (const auto& [name, values] : item.attrs) {
@@ -109,13 +112,12 @@ Status SimpleDb::ValidateItem(const Item& item) const {
 }
 
 Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
-                          const std::vector<Item>& items,
+                          std::vector<Item> items,
                           std::vector<Item>* unprocessed) {
   if (unprocessed != nullptr) unprocessed->clear();
   WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
-  for (const auto& item : items) {
-    WEBDEX_RETURN_IF_ERROR(ValidateItem(item));
-  }
+  WEBDEX_ASSIGN_OR_RETURN(const std::vector<Footprint> sizes,
+                          MeasureAll(items));
   const int batch_limit = BatchPutLimit();
   size_t index = 0;
   while (index < items.size()) {
@@ -134,14 +136,15 @@ Status SimpleDb::BatchPut(SimAgent& agent, const std::string& table,
     }
     if (!admitted.ok()) {
       if (unprocessed != nullptr) {
-        unprocessed->insert(unprocessed->end(), items.begin() + index,
-                            items.end());
+        unprocessed->insert(unprocessed->end(),
+                            std::make_move_iterator(items.begin() + index),
+                            std::make_move_iterator(items.end()));
       }
       return admitted;
     }
     double box_hours = 0;
     for (size_t i = index; i < batch_end; ++i) {
-      Put(*t, items[i]);
+      Put(*t, std::move(items[i]), sizes[i]);
       box_hours += meter_->pricing().simpledb_box_hours_per_put;
       meter_->mutable_usage().sdb_put_requests += 1;
     }
@@ -164,11 +167,12 @@ Result<std::vector<Item>> SimpleDb::Get(SimAgent& agent,
   WEBDEX_RETURN_IF_ERROR(
       MaybeThrottle(agent, /*write=*/false, op_start, get_metrics_));
   std::vector<Item> out;
-  AppendHashItems(*t, hash_key, &out);
+  std::vector<Footprint> sizes;
+  AppendHashItems(*t, hash_key, &out, &sizes);
   // SimpleDB's select paginates at 2500 attributes / 1 MB; model one extra
   // request round trip per page.
   uint64_t attr_total = 0;
-  for (const auto& item : out) attr_total += ValueCount(item.attrs);
+  for (const Footprint& size : sizes) attr_total += size.values;
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   meter_->mutable_usage().sdb_get_requests += pages;
   meter_->mutable_usage().sdb_box_hours +=
@@ -198,10 +202,11 @@ Result<std::vector<Item>> SimpleDb::Scan(SimAgent& agent,
                                         const std::string& table) {
   WEBDEX_ASSIGN_OR_RETURN(Table * t, FindTable(table));
   std::vector<Item> out;
-  AppendAllItems(*t, &out);
+  std::vector<Footprint> sizes;
+  AppendAllItems(*t, &out, &sizes);
   // A full select paginates at 2500 attributes, like Get.
   uint64_t attr_total = 0;
-  for (const auto& item : out) attr_total += ValueCount(item.attrs);
+  for (const Footprint& size : sizes) attr_total += size.values;
   const uint64_t pages = attr_total == 0 ? 1 : (attr_total + 2499) / 2500;
   for (uint64_t page = 0; page < pages; ++page) {
     const Micros page_start = agent.now();

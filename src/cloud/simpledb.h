@@ -64,7 +64,7 @@ class SimpleDb final : public TableStore {
 
   Status CreateTable(SimAgent& agent, const std::string& table) override;
   Status BatchPut(SimAgent& agent, const std::string& table,
-                  const std::vector<Item>& items,
+                  std::vector<Item> items,
                   std::vector<Item>* unprocessed = nullptr) override;
   Result<std::vector<Item>> Get(SimAgent& agent, const std::string& table,
                                 const std::string& hash_key) override;
@@ -78,7 +78,8 @@ class SimpleDb final : public TableStore {
                     const std::string& range_key) override;
 
  private:
-  Status ValidateItem(const Item& item) const override;
+  Status ValidateItem(const Item& item,
+                      const Footprint& size) const override;
 
   /// Injected-fault preamble of every billed call; same contract as
   /// DynamoDb::InjectFault (bills the request round trip, no box usage).

@@ -91,7 +91,8 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
   // an image that repeats or reorders keys was not written by
   // SerializeKvStore.
   std::string prev_table;
-  Item prev;
+  std::string prev_hash;
+  std::string prev_range;
   for (uint64_t i = 0; i < item_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(data, offset));
     Item item;
@@ -109,18 +110,19 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
       }
       item.attrs.emplace(std::move(name), std::move(values));
     }
-    if (i > 0 && std::tie(prev_table, prev.hash_key, prev.range_key) >=
+    if (i > 0 && std::tie(prev_table, prev_hash, prev_range) >=
                      std::tie(table, item.hash_key, item.range_key)) {
       return Status::Corruption("snapshot items duplicated or out of order");
     }
+    prev_hash = item.hash_key;
+    prev_range = item.range_key;
     // An unknown table, or an item the live store would refuse.
-    const Status restored = store->RestoreItem(table, item);
+    const Status restored = store->RestoreItem(table, std::move(item));
     if (!restored.ok()) {
       return Status::Corruption("snapshot item rejected: " +
                                 restored.ToString());
     }
     prev_table = std::move(table);
-    prev = std::move(item);
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,10 +21,29 @@ namespace webdex::cloud {
 /// values); the backends keep validation, batching, billing, throttling
 /// and fault injection.
 ///
-/// Within a table items are kept in (hash, range) key order, which is the
-/// order every read returns them in.
+/// Layout (the flat table core, defined in table_store.cc).  A table is a
+/// record array and a group array, plus two open-addressing indexes of
+/// fixed-width {hash, link} headers over them:
+///   * records: a chunked, append-only array of stored items, each moved
+///     in from the caller's BatchPut with its cached Footprint (size and
+///     value count) and the index of its hash-key group.  A deleted
+///     record is emptied and its slot reused by the next put; chunks
+///     never move, so a put allocates no node of its own;
+///   * groups: one per live hash key, holding the key and its records'
+///     indices, each beside its range key's first eight bytes so a read
+///     sorts the group without touching the records (a sorted group
+///     stays sorted until its next put);
+///   * item index: (hash, range) -> record, the replacement check;
+///   * group index: hash key -> group.
+/// Both probes are O(1) expected and compare keys only on a full 64-bit
+/// hash match.  Reads return items in range order (Get) or (hash, range)
+/// order (Scan, ForEachItem, snapshots), sorting at read time; the byte,
+/// item and value counters are adjusted by each put and erase from the
+/// cached footprints, so they are exact after every call.
 class TableStore : public KvStore {
  public:
+  ~TableStore() override;
+
   bool HasTable(const std::string& table) const override;
   uint64_t StoredBytes(const std::string& table) const override;
   /// items x per-item overhead + values x per-value overhead, from the
@@ -42,43 +62,54 @@ class TableStore : public KvStore {
   /// Stores one item into an existing table after the same validation a
   /// live BatchPut applies, so a snapshot restores only items the store
   /// would have accepted.  Replaces an item with the same key.
-  Status RestoreItem(const std::string& table, const Item& item);
+  Status RestoreItem(const std::string& table, Item item);
   bool Empty() const { return tables_.empty(); }
 
  protected:
-  struct Table {
-    // hash key -> range key -> attributes.
-    std::map<std::string, std::map<std::string, Attributes>> items;
-    uint64_t stored_bytes = 0;
-    uint64_t item_count = 0;
-    uint64_t value_count = 0;
+  /// An item's billable size (Item::SizeBytes) and attribute-value count,
+  /// measured once when it enters the store and shared by validation,
+  /// billing and accounting.
+  struct Footprint {
+    uint64_t bytes = 0;
+    uint64_t values = 0;
   };
+  struct Table;
 
-  explicit TableStore(const StoreLimits& limits) : KvStore(limits) {}
+  explicit TableStore(const StoreLimits& limits);
 
   /// Rejects an item the backend cannot hold (keys, sizes, encoding).
-  virtual Status ValidateItem(const Item& item) const = 0;
+  virtual Status ValidateItem(const Item& item,
+                              const Footprint& size) const = 0;
+
+  static Footprint Measure(const Item& item);
+  /// Measures and validates every item of one BatchPut, so validation
+  /// errors fail the whole call before anything is stored.
+  Result<std::vector<Footprint>> MeasureAll(
+      const std::vector<Item>& items) const;
 
   /// Creates an empty table; AlreadyExists if it is present.
   Status AddTable(const std::string& table);
   /// The table, or NotFound.
   Result<Table*> FindTable(const std::string& table);
-  /// Stores `item`, completely replacing an item with the same key
-  /// (Section 6), and moves the table's accounting to match.
-  static void Put(Table& t, const Item& item);
-  /// Appends the items under `hash_key`, in range-key order.
-  static void AppendHashItems(const Table& t, const std::string& hash_key,
-                              std::vector<Item>* out);
-  /// Appends every item of `t`, in (hash, range) key order.
-  static void AppendAllItems(const Table& t, std::vector<Item>* out);
+  /// Stores `item` (of footprint `size`), completely replacing an item
+  /// with the same key (Section 6), and moves the table's accounting to
+  /// match.
+  static void Put(Table& t, Item&& item, const Footprint& size);
+  /// Appends copies of the items under `hash_key`, in range-key order,
+  /// and their footprints to `sizes`.
+  static void AppendHashItems(Table& t, const std::string& hash_key,
+                              std::vector<Item>* out,
+                              std::vector<Footprint>* sizes);
+  /// Appends copies of every item of `t`, in (hash, range) key order, and
+  /// their footprints to `sizes`.
+  static void AppendAllItems(const Table& t, std::vector<Item>* out,
+                             std::vector<Footprint>* sizes);
   /// Removes the item with the given key.  Returns its size, 0 if absent.
   static uint64_t Erase(Table& t, const std::string& hash_key,
                         const std::string& range_key);
-  /// Number of attribute values in `attrs`.
-  static uint64_t ValueCount(const Attributes& attrs);
 
  private:
-  std::map<std::string, Table> tables_;
+  std::map<std::string, std::unique_ptr<Table>> tables_;
 };
 
 }  // namespace webdex::cloud

@@ -19,6 +19,10 @@ ExtractionPipeline::ExtractionPipeline(common::ThreadPool* pool,
       bucket_(std::move(bucket)),
       base_seed_(base_seed) {}
 
+ExtractionPipeline::~ExtractionPipeline() {
+  for (auto& [key, task] : tasks_) task.wait();
+}
+
 ExtractionResult ExtractionPipeline::ExtractNow(
     const std::string& uri, const std::string& xml_text,
     const index::IndexingStrategy& strategy,
@@ -72,28 +76,29 @@ void ExtractionPipeline::Prefetch(const std::string& uri,
   tasks_.emplace(
       key,
       pool_->Submit([this, uri,
-                     generation]() -> std::shared_ptr<const ExtractionResult> {
+                     generation]() -> std::unique_ptr<ExtractionResult> {
         const std::string* text = s3_->PeekObject(bucket_, uri);
         if (text == nullptr) {
-          auto missing = std::make_shared<ExtractionResult>();
+          auto missing = std::make_unique<ExtractionResult>();
           missing->status = Status::NotFound("no such object: " + uri);
           return missing;
         }
         index::ExtractOptions options = options_;
         options.generation = generation;
-        return std::make_shared<const ExtractionResult>(ExtractNow(
+        return std::make_unique<ExtractionResult>(ExtractNow(
             uri, *text, *strategy_, options, *store_, base_seed_));
-      }).share());
+      }));
 }
 
-std::shared_ptr<const ExtractionResult> ExtractionPipeline::Take(
+std::unique_ptr<ExtractionResult> ExtractionPipeline::Take(
     const std::string& uri, uint64_t generation) {
-  std::shared_future<std::shared_ptr<const ExtractionResult>> task;
+  std::future<std::unique_ptr<ExtractionResult>> task;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tasks_.find(TaskKey(uri, generation));
     if (it == tasks_.end()) return nullptr;
-    task = it->second;
+    task = std::move(it->second);
+    tasks_.erase(it);
   }
   return task.get();
 }

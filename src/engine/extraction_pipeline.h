@@ -51,9 +51,11 @@ struct ExtractionResult {
 /// result's counters, so makespans, costs, and reports are bit-identical
 /// to the serial path (see docs/PARALLELISM.md).
 ///
-/// Results stay memoized for the lifetime of the pipeline (one indexing
-/// run): at-least-once redeliveries after a crash re-use the same result,
-/// mirroring the determinism of the per-document Rng streams.
+/// Each result is handed over once: Take moves it out of the memo, so the
+/// event loop can move its items into the index store without copying
+/// them.  An at-least-once redelivery of the same task finds no memo entry
+/// and re-extracts inline (ExtractNow), which yields byte-identical items
+/// thanks to the deterministic per-(uri, generation) Rng streams.
 class ExtractionPipeline {
  public:
   /// `pool` must outlive the pipeline.  `strategy`, `store` and `s3` are
@@ -67,6 +69,10 @@ class ExtractionPipeline {
                      const cloud::ObjectStore* s3, std::string bucket,
                      uint64_t base_seed);
 
+  /// Waits for scheduled extractions that were never taken: they read
+  /// this pipeline's members from the pool's threads.
+  ~ExtractionPipeline();
+
   ExtractionPipeline(const ExtractionPipeline&) = delete;
   ExtractionPipeline& operator=(const ExtractionPipeline&) = delete;
 
@@ -78,10 +84,11 @@ class ExtractionPipeline {
   void Prefetch(const std::string& uri, uint64_t generation = 0);
 
   /// Blocks until the speculative task for (`uri`, `generation`)
-  /// completes and returns its memoized result; nullptr if it was never
-  /// prefetched (the caller then extracts inline via ExtractNow).
-  std::shared_ptr<const ExtractionResult> Take(const std::string& uri,
-                                               uint64_t generation = 0);
+  /// completes and hands its result over, erasing the memo entry; nullptr
+  /// if it was never prefetched or was already taken (the caller then
+  /// extracts inline via ExtractNow).
+  std::unique_ptr<ExtractionResult> Take(const std::string& uri,
+                                         uint64_t generation = 0);
 
   /// The serial path: runs the identical parse + extract on the calling
   /// thread.  Shared by the pipeline's pooled tasks and the legacy
@@ -103,7 +110,7 @@ class ExtractionPipeline {
   uint64_t base_seed_;
 
   std::mutex mu_;
-  std::map<std::string, std::shared_future<std::shared_ptr<const ExtractionResult>>>
+  std::map<std::string, std::future<std::unique_ptr<ExtractionResult>>>
       tasks_;
 };
 

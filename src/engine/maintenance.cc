@@ -95,17 +95,19 @@ Status DeletePostings(cloud::SimAgent& agent, cloud::KvStore& store,
 /// Idempotent rewrite of one URI: re-puts `tables` in order (stored items
 /// are replaced byte-identically thanks to the deterministic per-URI UUID
 /// streams), then deletes the `stored` postings the re-put did not write.
+/// The items move into the store.
 Status Reput(cloud::SimAgent& agent, cloud::KvStore& store,
-             const std::vector<index::TableItems>& tables,
-             const Postings& stored, MaintenanceReport* report) {
+             std::vector<index::TableItems> tables, const Postings& stored,
+             MaintenanceReport* report) {
   std::set<ItemKey> written;
-  for (const auto& table_items : tables) {
-    WEBDEX_RETURN_IF_ERROR(
-        store.BatchPut(agent, table_items.table, table_items.items));
-    report->items_put += table_items.items.size();
+  for (auto& table_items : tables) {
     for (const auto& item : table_items.items) {
       written.insert(ItemKey{table_items.table, item.hash_key, item.range_key});
     }
+    const size_t count = table_items.items.size();
+    WEBDEX_RETURN_IF_ERROR(store.BatchPut(agent, table_items.table,
+                                          std::move(table_items.items)));
+    report->items_put += count;
   }
   return DeletePostings(
       agent, store, stored,
@@ -297,7 +299,8 @@ Status Maintenance::Scrub(cloud::SimAgent& agent,
               [](const index::TableItems& a, const index::TableItems& b) {
                 return a.table < b.table;
               });
-    WEBDEX_RETURN_IF_ERROR(Reput(agent, *store_, tables, stored, report));
+    WEBDEX_RETURN_IF_ERROR(
+        Reput(agent, *store_, std::move(tables), stored, report));
     report->repaired_uris += 1;
   }
 
@@ -387,7 +390,7 @@ Status Maintenance::Compact(
                               Reextract(agent, uri, /*generation=*/0));
       WEBDEX_RETURN_IF_ERROR(extraction.status);
       WEBDEX_RETURN_IF_ERROR(
-          Reput(agent, *store_, extraction.items, postings, report));
+          Reput(agent, *store_, std::move(extraction.items), postings, report));
       WEBDEX_RETURN_IF_ERROR(delete_meta(nullptr));
       report->canonicalized_uris.push_back(uri);
     } else {

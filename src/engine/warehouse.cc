@@ -24,6 +24,12 @@ namespace {
 /// or acknowledged without effect because it can never succeed (kPoison).
 enum class TaskOutcome { kOk, kAbandon, kPoison };
 
+std::vector<cloud::Item> OneItem(cloud::Item item) {
+  std::vector<cloud::Item> items;
+  items.push_back(std::move(item));
+  return items;
+}
+
 }  // namespace
 
 Warehouse::Warehouse(cloud::CloudEnv* env, const WarehouseConfig& config)
@@ -145,6 +151,7 @@ Status Warehouse::AttachToExistingCloud() {
       const Status created = store.CreateTable(front_end_, index::kMetaTable);
       if (!created.ok() && !created.IsAlreadyExists()) return created;
     }
+    RebuildPathSummary();
   }
   // Queues are ephemeral (not part of snapshots): create them if absent.
   for (const auto& queue : {config_.loader_queue, config_.query_queue,
@@ -155,6 +162,20 @@ Status Warehouse::AttachToExistingCloud() {
     if (!created.ok() && !created.IsAlreadyExists()) return created;
   }
   return Status::OK();
+}
+
+void Warehouse::RebuildPathSummary() {
+  path_summary_ = index::PathSummary();
+  summarized_uris_.clear();
+  for (const auto& uri : document_uris_) {
+    const std::string* text = env_->s3().PeekObject(config_.data_bucket, uri);
+    if (text == nullptr) continue;
+    auto doc = xml::ParseDocument(uri, *text);
+    if (!doc.ok()) continue;  // a malformed body was never indexed either
+    path_summary_.AddDocument(
+        index::ExtractDocIndex(doc.value(), config_.extract));
+    summarized_uris_.insert(uri);
+  }
 }
 
 Status Warehouse::SubmitDocument(const std::string& uri,
@@ -257,7 +278,8 @@ void Warehouse::UnregisterDocument(const std::string& uri) {
 
 WorkerStep Warehouse::IndexerStep(Instance& instance,
                                   ExtractionPipeline* pipeline,
-                                  IndexingRunReport* report) {
+                                  IndexingRunReport* report,
+                                  std::set<TaskId>* counted) {
   auto& sqs = env_->sqs();
   // Extraction-pipeline backpressure (docs/OVERLOAD.md): a deep loader
   // queue plus fresh organic throttles means the index store is already
@@ -327,7 +349,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
   // tombstone meta row plus an object unlink (docs/MUTABILITY.md).
   const bool is_delete =
       request.ok() && request.value().op == LoadOp::kDelete;
-  std::shared_ptr<const ExtractionResult> extraction;
+  std::unique_ptr<ExtractionResult> extraction;
   if (outcome == TaskOutcome::kOk && !is_delete) {
     auto text = RetryCall(instance, "ix.fetch", [&] {
       return env_->s3().Get(instance, config_.data_bucket,
@@ -354,7 +376,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
         // stamped and drawn from the generation's own UUID stream.
         index::ExtractOptions options = config_.extract;
         options.generation = request.value().generation;
-        extraction = std::make_shared<const ExtractionResult>(
+        extraction = std::make_unique<ExtractionResult>(
             ExtractionPipeline::ExtractNow(request.value().uri, xml_text,
                                            *strategy_, options,
                                            index_store(),
@@ -385,12 +407,14 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
   bool crashed = false;
   if (outcome == TaskOutcome::kOk && !is_delete) {
     const cloud::Usage before = env_->meter().Snapshot();
-    for (const auto& batch : extraction->items) {
+    // The items move into the index store: this task owns its extraction
+    // (a redelivery re-extracts), so nothing is copied on the way.
+    for (auto& batch : extraction->items) {
       instance.ChargeParallelWork(
           instance.work().kv_encode_per_byte *
           static_cast<double>(extraction->stats.payload_bytes));
-      const UploadResult put =
-          PutItemsPaged(instance, batch.table, batch.items, msg.body);
+      const UploadResult put = PutItemsPaged(
+          instance, batch.table, std::move(batch.items), msg.body);
       if (put.crashed) {
         crashed = true;
         break;
@@ -409,9 +433,9 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
       // generation can never clobber a higher one.
       const Status put = index_store().BatchPut(
           instance, index::kMetaTable,
-          {index::MakeMetaItem(request.value().uri,
-                               request.value().generation,
-                               /*tombstoned=*/false)});
+          OneItem(index::MakeMetaItem(request.value().uri,
+                                      request.value().generation,
+                                      /*tombstoned=*/false)));
       if (!put.ok()) {
         outcome = put.IsRetriable() ? TaskOutcome::kAbandon
                                     : TaskOutcome::kPoison;
@@ -429,8 +453,9 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
     // state — never this task's.
     const Status put = index_store().BatchPut(
         instance, index::kMetaTable,
-        {index::MakeMetaItem(request.value().uri, request.value().generation,
-                             /*tombstoned=*/true)});
+        OneItem(index::MakeMetaItem(request.value().uri,
+                                    request.value().generation,
+                                    /*tombstoned=*/true)));
     if (!put.ok()) {
       outcome = put.IsRetriable() ? TaskOutcome::kAbandon
                                   : TaskOutcome::kPoison;
@@ -459,10 +484,15 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
     env_->meter().mutable_usage().tombstones_written += 1;
     env_->metrics().GetCounter("index.tombstone.written.count")->Add(1);
   } else if (outcome == TaskOutcome::kOk) {
-    report->extract_stats.entries += extraction->stats.entries;
-    report->extract_stats.items += extraction->stats.items;
-    report->extract_stats.payload_bytes += extraction->stats.payload_bytes;
-    report->documents += 1;
+    // A redelivered task (its first delivery crashed before the ack, or
+    // SQS delivered it twice) re-does the work but is one document.
+    if (counted->emplace(request.value().uri, request.value().generation)
+            .second) {
+      report->extract_stats.entries += extraction->stats.entries;
+      report->extract_stats.items += extraction->stats.items;
+      report->extract_stats.payload_bytes += extraction->stats.payload_bytes;
+      report->documents += 1;
+    }
     if (request.value().op == LoadOp::kUpsert) {
       // Host-side upsert commit: publish the new generation to readers.
       // The path summary is deliberately left alone — planner statistics
@@ -506,7 +536,7 @@ WorkerStep Warehouse::IndexerStep(Instance& instance,
 
 Warehouse::UploadResult Warehouse::PutItemsPaged(
     Instance& instance, const std::string& table,
-    const std::vector<cloud::Item>& items, const std::string& task_key) {
+    std::vector<cloud::Item> items, const std::string& task_key) {
   // Paging is externalized from the store (one API call per page) so the
   // engine can crash *between* pages, leaving a half-written index that
   // the redelivered task must converge despite.  Fault-free, the billed
@@ -520,9 +550,10 @@ Warehouse::UploadResult Warehouse::PutItemsPaged(
                                  instance.id(), task_key)) {
       return UploadResult{Status::OK(), /*crashed=*/true};
     }
-    const std::vector<cloud::Item> page(items.begin() + index,
-                                        items.begin() + end);
-    const Status put = store.BatchPut(instance, table, page);
+    std::vector<cloud::Item> page(
+        std::make_move_iterator(items.begin() + index),
+        std::make_move_iterator(items.begin() + end));
+    const Status put = store.BatchPut(instance, table, std::move(page));
     if (!put.ok()) return UploadResult{put, /*crashed=*/false};
     index = end;
   }
@@ -556,6 +587,7 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
         "warehouse configured without an index");
   }
   IndexingRunReport report;
+  std::set<TaskId> counted;
 
   // Speculative host parallelism: peek the pending loader requests and
   // start fetch-parse-extract for each document on the pool now; the
@@ -584,8 +616,8 @@ Result<IndexingRunReport> Warehouse::RunIndexers() {
                               "index.run");
   cluster_.SyncClocks(front_end_.now());
   report.makespan = cluster_.RunUntilDrained(
-      [this, &report, &pipeline](Instance& instance) {
-        return IndexerStep(instance, pipeline.get(), &report);
+      [this, &report, &pipeline, &counted](Instance& instance) {
+        return IndexerStep(instance, pipeline.get(), &report, &counted);
       },
       front_end_.now());
   // Bill the fleet's rented time.

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud_env.h"
@@ -107,6 +108,9 @@ struct WarehouseConfig {
 /// What one indexing run (drain of the loader queue) did — the substance
 /// of the paper's Table 4 and Figure 7.
 struct IndexingRunReport {
+  /// Distinct documents indexed: a task redelivered after a crash or an
+  /// SQS duplicate re-does its work (and bills it) but counts once, as do
+  /// its extract_stats.
   uint64_t documents = 0;
   /// Virtual time, summed over instances, spent in each phase.
   cloud::Micros extraction_micros = 0;  // S3 fetch + parse + extract
@@ -220,7 +224,8 @@ class Warehouse {
   /// tables already exist but this facade is new.  The LIST requests are
   /// billed to the front end like any other S3 traffic.  With
   /// use_index == true the existing index is reused (Setup() must not be
-  /// called; the tables already exist).
+  /// called; the tables already exist), and the planner's path summary,
+  /// which a snapshot does not carry, is rebuilt from the live documents.
   Status AttachToExistingCloud();
 
   // --- Loading (Figure 1, steps 1-3) -------------------------------------
@@ -439,12 +444,21 @@ class Warehouse {
   };
   UploadResult PutItemsPaged(cloud::Instance& instance,
                              const std::string& table,
-                             const std::vector<cloud::Item>& items,
+                             std::vector<cloud::Item> items,
                              const std::string& task_key);
 
+  /// An indexing task's document: (uri, generation).
+  using TaskId = std::pair<std::string, uint64_t>;
+  /// One loader-queue delivery.  `counted` holds the tasks this run has
+  /// already added to `report`, so a redelivery counts its document once.
   cloud::WorkerStep IndexerStep(cloud::Instance& instance,
                                 ExtractionPipeline* pipeline,
-                                IndexingRunReport* report);
+                                IndexingRunReport* report,
+                                std::set<TaskId>* counted);
+  /// Recomputes path_summary_ from the stored bodies of the registered
+  /// documents: host-side (ObjectStore::PeekObject), unbilled, no virtual
+  /// time.
+  void RebuildPathSummary();
   cloud::WorkerStep QueryStep(cloud::Instance& instance,
                               std::map<uint64_t, QueryOutcome>* outcomes);
 

@@ -127,8 +127,12 @@ TEST_P(ChaosTest, FaultedRunConvergesToFaultFreeState) {
   // The plan actually bit: faults fired and retries happened.
   EXPECT_GT(faulted.usage.faulted_requests, 0u);
   EXPECT_GT(faulted.usage.retried_requests, 0u);
-  // State converged bit-identically...
+  // State converged bit-identically, and redelivered or duplicated
+  // tasks counted their documents once...
   EXPECT_EQ(clean.table_dump, faulted.table_dump);
+  EXPECT_EQ(faulted.report.documents, clean.report.documents);
+  EXPECT_EQ(faulted.report.extract_stats.items,
+            clean.report.extract_stats.items);
   ASSERT_FALSE(faulted.rows.empty());
   EXPECT_EQ(clean.rows, faulted.rows);
   EXPECT_EQ(faulted.rows[0][0], "Delacroix");
@@ -208,15 +212,61 @@ TEST(ChaosTest, PlanSeedSelectsTheSchedule) {
   EXPECT_NE(run_a.usage.faulted_requests, run_b.usage.faulted_requests);
 }
 
-// Satellite: a crash *between* two DynamoDB BatchPut pages leaves a
-// half-written index; the redelivered task re-puts the same (hash, range)
-// keys, so the table contents converge to the crash-free run's.
-TEST(ChaosTest, MidBatchPutCrashConvergesOnRedelivery) {
+// A task that crashes after its upload but before its ack is redelivered
+// and redone; the run still reports each document once, with the
+// extraction counters of a crash-free run, serial and host-parallel.
+TEST(ChaosTest, RedeliveredTasksCountTheirDocumentOnce) {
+  for (const int host_threads : {1, 4}) {
+    SCOPED_TRACE(host_threads);
+    auto run = [host_threads](int crashes) {
+      auto env = std::make_unique<cloud::CloudEnv>();
+      WarehouseConfig config;
+      config.strategy = StrategyKind::kLUI;
+      config.num_instances = 2;
+      config.host_threads = host_threads;
+      int crashes_remaining = crashes;
+      config.crash_plan = [&crashes_remaining](cloud::CrashPoint point, int,
+                                               const std::string&) {
+        if (point != cloud::CrashPoint::kBeforeDelete) return false;
+        if (crashes_remaining == 0) return false;
+        --crashes_remaining;
+        return true;
+      };
+      Warehouse warehouse(env.get(), config);
+      EXPECT_TRUE(warehouse.Setup().ok());
+      for (const auto& doc : Corpus()) {
+        EXPECT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+      }
+      auto report = warehouse.RunIndexers();
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(crashes_remaining, 0);
+      return report.ok() ? report.value() : IndexingRunReport{};
+    };
+    const IndexingRunReport clean = run(0);
+    const IndexingRunReport crashed = run(5);
+    EXPECT_GE(crashed.redeliveries, 5u);
+    EXPECT_EQ(crashed.documents, Corpus().size());
+    EXPECT_EQ(crashed.documents, clean.documents);
+    EXPECT_EQ(crashed.extract_stats.entries, clean.extract_stats.entries);
+    EXPECT_EQ(crashed.extract_stats.items, clean.extract_stats.items);
+    EXPECT_EQ(crashed.extract_stats.payload_bytes,
+              clean.extract_stats.payload_bytes);
+  }
+}
+
+// A crash *between* two DynamoDB BatchPut pages leaves a half-written
+// index; the redelivered task re-puts the same (hash, range) keys, so the
+// table contents converge to the crash-free run's.  The crashed delivery
+// already moved part of its items into the store, so the redelivery
+// re-extracts: inline on the serial path, and past the pipeline (whose
+// Take hands each result over once) at host_threads > 1.
+void MidBatchPutCrashConverges(int host_threads) {
   int crashes_remaining = 2;
   int boundaries_seen = 0;
   WarehouseConfig config;
   config.strategy = StrategyKind::k2LUPI;
   config.num_instances = 2;
+  config.host_threads = host_threads;
 
   auto run = [&](bool with_crashes) {
     cloud::CloudConfig cloud_config;  // no service faults: crashes only
@@ -243,7 +293,13 @@ TEST(ChaosTest, MidBatchPutCrashConvergesOnRedelivery) {
     std::vector<std::string> dump;
     warehouse.index_store().ForEachItem(
         [&dump](const std::string& table, const cloud::Item& item) {
-          dump.push_back(table + "|" + item.hash_key + "|" + item.range_key);
+          std::string line =
+              table + "|" + item.hash_key + "|" + item.range_key;
+          for (const auto& [name, values] : item.attrs) {
+            line += "|" + name + "=";
+            for (const auto& value : values) line += value + ",";
+          }
+          dump.push_back(std::move(line));
         });
     return std::make_pair(std::move(dump),
                           report.ok() ? report.value() : IndexingRunReport{});
@@ -259,6 +315,13 @@ TEST(ChaosTest, MidBatchPutCrashConvergesOnRedelivery) {
   EXPECT_GE(crashed.second.redeliveries, 2u);
   EXPECT_EQ(clean.first, crashed.first);
   EXPECT_EQ(clean.second.documents, crashed.second.documents);
+}
+
+TEST(ChaosTest, MidBatchPutCrashConvergesOnRedelivery) {
+  for (const int host_threads : {1, 4}) {
+    SCOPED_TRACE(host_threads);
+    MidBatchPutCrashConverges(host_threads);
+  }
 }
 
 }  // namespace

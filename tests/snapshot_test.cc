@@ -227,6 +227,47 @@ TEST(SnapshotTest, FileRoundTripThroughWarehouse) {
   std::remove(path.c_str());
 }
 
+// The planner's path summary is host-side state the snapshot does not
+// carry: attaching to a restored cloud rebuilds it from the stored
+// documents, so the restored facade reports the same statistics and
+// explains (prices, chooses access paths for) queries exactly as the
+// facade that built the index did.
+TEST(SnapshotTest, RestoredWarehouseRebuildsPlannerStatistics) {
+  const std::vector<std::string> queries = {
+      "//painting[/name~'Lion', //painter/name/last:val]",
+      "//painting[/year:val, /museum]", "//name:val"};
+  engine::WarehouseConfig config;
+  config.strategy = index::StrategyKind::k2LUPI;
+  CloudEnv env;
+  engine::Warehouse original(&env, config);
+  ASSERT_TRUE(original.Setup().ok());
+  for (const auto& doc : xmark::GeneratePaintings()) {
+    ASSERT_TRUE(original.SubmitDocument(doc.uri, doc.text).ok());
+  }
+  ASSERT_TRUE(original.RunIndexers().ok());
+  std::vector<std::string> explained;
+  for (const auto& query : queries) {
+    auto text = original.ExplainQuery(query);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    explained.push_back(std::move(text).value());
+  }
+
+  CloudEnv restored;
+  ASSERT_TRUE(RestoreSnapshot(SerializeSnapshot(env), &restored).ok());
+  engine::Warehouse attached(&restored, config);
+  ASSERT_TRUE(attached.AttachToExistingCloud().ok());
+  EXPECT_GT(attached.path_summary().distinct_paths(), 0u);
+  EXPECT_EQ(attached.path_summary().documents(),
+            original.path_summary().documents());
+  EXPECT_EQ(attached.path_summary().distinct_paths(),
+            original.path_summary().distinct_paths());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto text = attached.ExplainQuery(queries[i]);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_EQ(text.value(), explained[i]) << queries[i];
+  }
+}
+
 // Version 2 rounds-trips the chaos state: injector stream cursors and
 // circuit-breaker trackers survive, so the whole snapshot re-serializes
 // byte-identically from the restored environment.

@@ -1094,6 +1094,9 @@ class Cli {
       env_.reset();
       return;
     }
+    // The statistics behind `stats` and `advise` are not in the snapshot;
+    // the attached warehouse rebuilt them from the restored documents.
+    summary_ = warehouse_->path_summary();
     std::printf("restored %zu documents (%.1f MB) from %s\n",
                 warehouse_->document_uris().size(),
                 static_cast<double>(warehouse_->data_bytes()) / (1 << 20),
