@@ -16,7 +16,7 @@ const char* CapacityModeName(CapacityMode mode) {
   return "unknown";
 }
 
-uint64_t Fnv1a64(const std::string& bytes) {
+uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (unsigned char c : bytes) {
     hash ^= c;

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/sim.h"
@@ -41,11 +42,6 @@ struct ArchitectureSpec {
   /// Virtual-time replication lag before a write is visible on replicas.
   Micros replication_lag = 500'000;
 
-  bool IsDefault() const {
-    return capacity == CapacityMode::kProvisioned && shards <= 1 &&
-           replicas <= 0;
-  }
-
   /// Compact spec name used by compare-arch and bench rows, e.g.
   /// "prov-s4-r2" or "ondemand-s1-r0".
   std::string Name() const;
@@ -65,7 +61,7 @@ struct ArchitectureSpec {
 ///
 /// Lives in CloudEnv next to the stores; the ShardedKvStore /
 /// ReplicatedKvStore decorators and the planner all consult the same
-/// instance, and snapshot v5 persists the watermarks through it.
+/// instance, and the snapshot persists the watermarks through it.
 ///
 /// Thread-safety: routing queries (ShardFor/PhysicalName/...) are pure
 /// functions of immutable configuration and safe from any thread; the
@@ -110,7 +106,7 @@ class Deployment {
   /// write has had `replication_lag` to propagate.
   bool ReplicaReadable(const std::string& physical_table, Micros now) const;
 
-  /// Snapshot support (cloud/snapshot.cc, format v5).
+  /// Snapshot support (cloud/snapshot.cc).
   const std::map<std::string, Micros>& watermarks() const {
     return watermarks_;
   }
@@ -124,8 +120,9 @@ class Deployment {
 };
 
 /// FNV-1a 64-bit hash, the deterministic routing/fingerprint hash shared
-/// by shard routing and the logical dump fingerprints.
-uint64_t Fnv1a64(const std::string& bytes);
+/// by shard routing, the logical dump fingerprints and the snapshot
+/// trailer.
+uint64_t Fnv1a64(std::string_view bytes);
 
 }  // namespace webdex::cloud
 

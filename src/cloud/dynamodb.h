@@ -84,8 +84,8 @@ class DynamoDb final : public TableStore {
                     const std::string& hash_key,
                     const std::string& range_key) override;
 
-  /// Durable on-demand burst-ceiling state (snapshot v5).  All zero when
-  /// `on_demand` is off.
+  /// Durable on-demand burst-ceiling state (in the snapshot).  All zero
+  /// when `on_demand` is off.
   struct OnDemandState {
     double write_ceiling = 0;  // current limiter rates (units/second)
     double read_ceiling = 0;
@@ -96,7 +96,7 @@ class DynamoDb final : public TableStore {
     double window_read_units = 0;
   };
   const OnDemandState& ondemand_state() const { return ondemand_; }
-  /// Restores the burst-ceiling trajectory (snapshot v5) and re-times
+  /// Restores the burst-ceiling trajectory (from a snapshot) and re-times
   /// the limiters to the restored ceilings.
   void RestoreOnDemand(const OnDemandState& state);
 

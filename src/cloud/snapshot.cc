@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 
 #include "common/varint.h"
@@ -10,23 +12,14 @@
 namespace webdex::cloud {
 namespace {
 
-// Version 2 appends the chaos sections (FaultInjector stream cursors and
-// circuit-breaker trackers) after the durable stores; version 3 appends
-// the maintenance section (compaction cursor, generation watermark) after
-// those; version 4 appends the autoscaler control-loop state, so a
-// restored run resumes the identical capacity trajectory; version 5
-// appends the deployment section (architecture spec, replication
-// watermarks, on-demand burst-ceiling state) so sharded / replicated /
-// on-demand runs resume bit-identically.  Older snapshots are still
-// restorable — into a default-architecture environment only, since their
-// physical table layout assumes the paper's single-table deployment —
-// and simply leave the missing state fresh.
-constexpr char kMagicV1[] = "WDXSNAP1";
-constexpr char kMagicV2[] = "WDXSNAP2";
-constexpr char kMagicV3[] = "WDXSNAP3";
-constexpr char kMagicV4[] = "WDXSNAP4";
-constexpr char kMagicV5[] = "WDXSNAP5";
-constexpr size_t kMagicLen = 8;
+// The image is kMagic, then the sections in the fixed order
+// SerializeSnapshot writes them, then an 8-byte little-endian FNV-1a 64
+// of every byte before it.  Each FNV-1a step is a bijection of the hash
+// state for a given byte, so the trailer rejects every single-bit flip.
+// New durable state bumps the version digit; images of an earlier
+// version are refused by name.
+constexpr std::string_view kMagic = "WDXSNAP6";
+constexpr size_t kTrailerLen = 8;
 
 // Doubles travel as the varint of their IEEE-754 bit pattern: exact
 // round-trip, no locale/format ambiguity.
@@ -37,7 +30,7 @@ void PutDouble(std::string* out, double value) {
   PutVarint64(out, bits);
 }
 
-Result<double> GetDouble(const std::string& data, size_t* offset) {
+Result<double> GetDouble(std::string_view data, size_t* offset) {
   WEBDEX_ASSIGN_OR_RETURN(uint64_t bits, GetVarint64(data, offset));
   double value;
   std::memcpy(&value, &bits, sizeof(value));
@@ -49,14 +42,64 @@ void PutString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-Result<std::string> GetString(const std::string& data, size_t* offset) {
+Result<std::string> GetString(std::string_view data, size_t* offset) {
   WEBDEX_ASSIGN_OR_RETURN(uint64_t length, GetVarint64(data, offset));
-  if (*offset + length > data.size()) {
+  if (length > data.size() - *offset) {
     return Status::Corruption("truncated string in snapshot");
   }
-  std::string out = data.substr(*offset, length);
+  std::string out(data.substr(*offset, length));
   *offset += length;
   return out;
+}
+
+// An element count.  Every element takes at least one byte, so a count
+// above the bytes left is refused before anything loops over it.
+Result<uint64_t> GetCount(std::string_view data, size_t* offset) {
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(data, offset));
+  if (count > data.size() - *offset) {
+    return Status::Corruption("element count overruns snapshot");
+  }
+  return count;
+}
+
+// An int field.  Refused above INT_MAX rather than truncated, which
+// would restore a different value than the image holds.
+Result<int> GetInt(std::string_view data, size_t* offset) {
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t value, GetVarint64(data, offset));
+  if (value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::Corruption("int field out of range in snapshot");
+  }
+  return static_cast<int>(value);
+}
+
+// The magic, then the trailer: nothing is restored from an image whose
+// version is not this one or whose bytes do not match their checksum.
+Status CheckFraming(std::string_view image) {
+  const std::string_view magic = image.substr(0, kMagic.size());
+  if (magic != kMagic) {
+    // WDXSNAP1 up to the version before this one.
+    const size_t stem = kMagic.size() - 1;
+    const bool retired = magic.size() == kMagic.size() &&
+                         magic.substr(0, stem) == kMagic.substr(0, stem) &&
+                         magic[stem] >= '1' && magic[stem] < kMagic[stem];
+    if (retired) {
+      return Status::Corruption("snapshot format " + std::string(magic) +
+                                " is no longer supported");
+    }
+    return Status::Corruption("not a webdex snapshot");
+  }
+  if (image.size() < kMagic.size() + kTrailerLen) {
+    return Status::Corruption("truncated snapshot");
+  }
+  const size_t body = image.size() - kTrailerLen;
+  uint64_t trailer = 0;
+  for (size_t i = 0; i < kTrailerLen; ++i) {
+    trailer |= uint64_t{static_cast<uint8_t>(image[body + i])} << (8 * i);
+  }
+  if (trailer != Fnv1a64(image.substr(0, body))) {
+    return Status::Corruption("snapshot checksum mismatch");
+  }
+  return Status::OK();
 }
 
 void SerializeKvStore(const TableStore& store, std::string* out) {
@@ -79,14 +122,14 @@ void SerializeKvStore(const TableStore& store, std::string* out) {
   });
 }
 
-Status RestoreKvStore(const std::string& data, size_t* offset,
+Status RestoreKvStore(std::string_view data, size_t* offset,
                       TableStore* store) {
-  WEBDEX_ASSIGN_OR_RETURN(uint64_t table_count, GetVarint64(data, offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t table_count, GetCount(data, offset));
   for (uint64_t t = 0; t < table_count; ++t) {
     WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(data, offset));
     WEBDEX_RETURN_IF_ERROR(store->RestoreTable(table));
   }
-  WEBDEX_ASSIGN_OR_RETURN(uint64_t item_count, GetVarint64(data, offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t item_count, GetCount(data, offset));
   // Items are written in strictly increasing (table, hash, range) order;
   // an image that repeats or reorders keys was not written by
   // SerializeKvStore.
@@ -98,11 +141,10 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
     Item item;
     WEBDEX_ASSIGN_OR_RETURN(item.hash_key, GetString(data, offset));
     WEBDEX_ASSIGN_OR_RETURN(item.range_key, GetString(data, offset));
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t attr_count, GetVarint64(data, offset));
+    WEBDEX_ASSIGN_OR_RETURN(uint64_t attr_count, GetCount(data, offset));
     for (uint64_t a = 0; a < attr_count; ++a) {
       WEBDEX_ASSIGN_OR_RETURN(std::string name, GetString(data, offset));
-      WEBDEX_ASSIGN_OR_RETURN(uint64_t value_count,
-                              GetVarint64(data, offset));
+      WEBDEX_ASSIGN_OR_RETURN(uint64_t value_count, GetCount(data, offset));
       AttributeValues values;
       for (uint64_t v = 0; v < value_count; ++v) {
         WEBDEX_ASSIGN_OR_RETURN(std::string value, GetString(data, offset));
@@ -130,7 +172,7 @@ Status RestoreKvStore(const std::string& data, size_t* offset,
 }  // namespace
 
 std::string SerializeSnapshot(CloudEnv& env) {
-  std::string out(kMagicV5, kMagicLen);
+  std::string out(kMagic);
 
   // File store section: bucket names first (so empty buckets survive),
   // then the objects.
@@ -171,14 +213,14 @@ std::string SerializeSnapshot(CloudEnv& env) {
     PutVarint64(&out, static_cast<uint64_t>(tracker.opened_at));
   }
 
-  // Maintenance section (v3): the compaction resume cursor and the
+  // Maintenance section: the compaction resume cursor and the
   // mutation-generation watermark are durable like the stores — a
   // crashed compaction resumes after restore, and new mutations keep
   // stamping monotonically above everything ever allocated.
   PutString(&out, env.maintenance().compact_cursor);
   PutVarint64(&out, env.maintenance().generation_watermark);
 
-  // Autoscaler section (v4): durable control-loop state.  All zeros when
+  // Autoscaler section: durable control-loop state.  All zeros when
   // the autoscaler is inactive; restoring that is a no-op.
   const AutoscalerState& scaler = env.autoscaler().state();
   PutDouble(&out, scaler.write_units);
@@ -192,7 +234,7 @@ std::string SerializeSnapshot(CloudEnv& env) {
   PutVarint64(&out, scaler.window_read_throttles);
   PutVarint64(&out, scaler.started);
 
-  // Deployment section (v5): the architecture spec (so restore can refuse
+  // Deployment section: the architecture spec (so restore can refuse
   // an incompatible environment), the replication watermarks, and the
   // on-demand burst-ceiling trajectory.
   const ArchitectureSpec& arch = env.deployment().spec();
@@ -214,103 +256,30 @@ std::string SerializeSnapshot(CloudEnv& env) {
   PutVarint64(&out, static_cast<uint64_t>(ondemand.window_start));
   PutDouble(&out, ondemand.window_write_units);
   PutDouble(&out, ondemand.window_read_units);
+
+  const uint64_t checksum = Fnv1a64(out);
+  for (size_t i = 0; i < kTrailerLen; ++i) {
+    out.push_back(static_cast<char>(checksum >> (8 * i)));
+  }
   return out;
 }
 
-namespace {
-
-Status RestoreChaosState(const std::string& snapshot, size_t* offset,
-                         CloudEnv* env) {
-  WEBDEX_ASSIGN_OR_RETURN(uint64_t stream_count,
-                          GetVarint64(snapshot, offset));
-  std::vector<FaultInjector::StreamState> streams;
-  streams.reserve(stream_count);
-  for (uint64_t i = 0; i < stream_count; ++i) {
-    WEBDEX_ASSIGN_OR_RETURN(std::string site, GetString(snapshot, offset));
-    std::array<uint64_t, 4> state;
-    for (auto& word : state) {
-      WEBDEX_ASSIGN_OR_RETURN(word, GetVarint64(snapshot, offset));
-    }
-    streams.emplace_back(std::move(site), state);
-  }
-  env->fault_injector().RestoreStreams(streams);
-
-  WEBDEX_ASSIGN_OR_RETURN(uint64_t tracker_count,
-                          GetVarint64(snapshot, offset));
-  std::vector<CircuitBreaker::TrackerState> trackers;
-  trackers.reserve(tracker_count);
-  for (uint64_t i = 0; i < tracker_count; ++i) {
-    WEBDEX_ASSIGN_OR_RETURN(std::string resource,
-                            GetString(snapshot, offset));
-    HealthTracker tracker;
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t state, GetVarint64(snapshot, offset));
-    if (state > static_cast<uint64_t>(BreakerState::kHalfOpen)) {
-      return Status::Corruption("invalid breaker state in snapshot");
-    }
-    tracker.state = static_cast<BreakerState>(state);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t failures, GetVarint64(snapshot, offset));
-    tracker.consecutive_failures = static_cast<int>(failures);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t successes,
-                            GetVarint64(snapshot, offset));
-    tracker.consecutive_successes = static_cast<int>(successes);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t opened_at, GetVarint64(snapshot, offset));
-    tracker.opened_at = static_cast<Micros>(opened_at);
-    trackers.emplace_back(std::move(resource), tracker);
-  }
-  env->breaker().RestoreTrackers(trackers);
-  return Status::OK();
-}
-
-}  // namespace
-
-Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env) {
-  bool has_chaos_sections = false;
-  bool has_maintenance_section = false;
-  bool has_autoscaler_section = false;
-  bool has_deployment_section = false;
-  if (snapshot.size() >= kMagicLen &&
-      snapshot.compare(0, kMagicLen, kMagicV5) == 0) {
-    has_chaos_sections = true;
-    has_maintenance_section = true;
-    has_autoscaler_section = true;
-    has_deployment_section = true;
-  } else if (snapshot.size() >= kMagicLen &&
-             snapshot.compare(0, kMagicLen, kMagicV4) == 0) {
-    has_chaos_sections = true;
-    has_maintenance_section = true;
-    has_autoscaler_section = true;
-  } else if (snapshot.size() >= kMagicLen &&
-             snapshot.compare(0, kMagicLen, kMagicV3) == 0) {
-    has_chaos_sections = true;
-    has_maintenance_section = true;
-  } else if (snapshot.size() >= kMagicLen &&
-             snapshot.compare(0, kMagicLen, kMagicV2) == 0) {
-    has_chaos_sections = true;
-  } else if (snapshot.size() < kMagicLen ||
-             snapshot.compare(0, kMagicLen, kMagicV1) != 0) {
-    return Status::Corruption("not a webdex snapshot");
-  }
+Status RestoreSnapshot(const std::string& image, CloudEnv* env) {
+  WEBDEX_RETURN_IF_ERROR(CheckFraming(image));
   if (!env->s3().Empty() || !env->dynamodb().Empty() ||
       !env->simpledb().Empty()) {
     return Status::AlreadyExists(
         "snapshot must be restored into a fresh CloudEnv");
   }
-  // Pre-v5 snapshots carry no architecture spec: their physical table
-  // layout assumes the default single-table provisioned deployment.
-  if (!has_deployment_section && !env->deployment().spec().IsDefault()) {
-    return Status::InvalidArgument(
-        "pre-v5 snapshot requires the default architecture, environment is " +
-        env->deployment().spec().Name());
-  }
-  size_t offset = kMagicLen;
-  WEBDEX_ASSIGN_OR_RETURN(uint64_t bucket_count,
-                          GetVarint64(snapshot, &offset));
+  const std::string_view snapshot =
+      std::string_view(image).substr(0, image.size() - kTrailerLen);
+  size_t offset = kMagic.size();
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t bucket_count, GetCount(snapshot, &offset));
   for (uint64_t i = 0; i < bucket_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string bucket, GetString(snapshot, &offset));
     env->s3().RestoreBucket(bucket);
   }
-  WEBDEX_ASSIGN_OR_RETURN(uint64_t object_count,
-                          GetVarint64(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t object_count, GetCount(snapshot, &offset));
   for (uint64_t i = 0; i < object_count; ++i) {
     WEBDEX_ASSIGN_OR_RETURN(std::string bucket, GetString(snapshot, &offset));
     WEBDEX_ASSIGN_OR_RETURN(std::string key, GetString(snapshot, &offset));
@@ -319,82 +288,104 @@ Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env) {
   }
   WEBDEX_RETURN_IF_ERROR(RestoreKvStore(snapshot, &offset, &env->dynamodb()));
   WEBDEX_RETURN_IF_ERROR(RestoreKvStore(snapshot, &offset, &env->simpledb()));
-  if (has_chaos_sections) {
-    WEBDEX_RETURN_IF_ERROR(RestoreChaosState(snapshot, &offset, env));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t stream_count, GetCount(snapshot, &offset));
+  std::vector<FaultInjector::StreamState> streams;
+  for (uint64_t i = 0; i < stream_count; ++i) {
+    WEBDEX_ASSIGN_OR_RETURN(std::string site, GetString(snapshot, &offset));
+    std::array<uint64_t, 4> state;
+    for (auto& word : state) {
+      WEBDEX_ASSIGN_OR_RETURN(word, GetVarint64(snapshot, &offset));
+    }
+    streams.emplace_back(std::move(site), state);
   }
-  if (has_maintenance_section) {
-    WEBDEX_ASSIGN_OR_RETURN(env->maintenance().compact_cursor,
+  env->fault_injector().RestoreStreams(streams);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t tracker_count,
+                          GetCount(snapshot, &offset));
+  std::vector<CircuitBreaker::TrackerState> trackers;
+  for (uint64_t i = 0; i < tracker_count; ++i) {
+    WEBDEX_ASSIGN_OR_RETURN(std::string resource,
                             GetString(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(env->maintenance().generation_watermark,
+    HealthTracker tracker;
+    WEBDEX_ASSIGN_OR_RETURN(uint64_t state, GetVarint64(snapshot, &offset));
+    if (state > static_cast<uint64_t>(BreakerState::kHalfOpen)) {
+      return Status::Corruption("invalid breaker state in snapshot");
+    }
+    tracker.state = static_cast<BreakerState>(state);
+    WEBDEX_ASSIGN_OR_RETURN(tracker.consecutive_failures,
+                            GetInt(snapshot, &offset));
+    WEBDEX_ASSIGN_OR_RETURN(tracker.consecutive_successes,
+                            GetInt(snapshot, &offset));
+    WEBDEX_ASSIGN_OR_RETURN(uint64_t opened_at,
                             GetVarint64(snapshot, &offset));
+    tracker.opened_at = static_cast<Micros>(opened_at);
+    trackers.emplace_back(std::move(resource), tracker);
   }
-  if (has_autoscaler_section) {
-    AutoscalerState scaler;
-    WEBDEX_ASSIGN_OR_RETURN(scaler.write_units, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.read_units, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t window_start,
-                            GetVarint64(snapshot, &offset));
-    scaler.window_start = static_cast<Micros>(window_start);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t last_up, GetVarint64(snapshot, &offset));
-    scaler.last_scale_up = static_cast<Micros>(last_up);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t last_down,
-                            GetVarint64(snapshot, &offset));
-    scaler.last_scale_down = static_cast<Micros>(last_down);
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_units,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_units,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_throttles,
-                            GetVarint64(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_throttles,
-                            GetVarint64(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(scaler.started, GetVarint64(snapshot, &offset));
-    env->autoscaler().Restore(scaler);
+  env->breaker().RestoreTrackers(trackers);
+
+  WEBDEX_ASSIGN_OR_RETURN(env->maintenance().compact_cursor,
+                          GetString(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(env->maintenance().generation_watermark,
+                          GetVarint64(snapshot, &offset));
+
+  AutoscalerState scaler;
+  WEBDEX_ASSIGN_OR_RETURN(scaler.write_units, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.read_units, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t scaler_window,
+                          GetVarint64(snapshot, &offset));
+  scaler.window_start = static_cast<Micros>(scaler_window);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t last_up, GetVarint64(snapshot, &offset));
+  scaler.last_scale_up = static_cast<Micros>(last_up);
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t last_down, GetVarint64(snapshot, &offset));
+  scaler.last_scale_down = static_cast<Micros>(last_down);
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_units,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_units,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_write_throttles,
+                          GetVarint64(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.window_read_throttles,
+                          GetVarint64(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(scaler.started, GetVarint64(snapshot, &offset));
+  env->autoscaler().Restore(scaler);
+
+  ArchitectureSpec arch;
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t capacity, GetVarint64(snapshot, &offset));
+  if (capacity > static_cast<uint64_t>(CapacityMode::kOnDemand)) {
+    return Status::Corruption("invalid capacity mode in snapshot");
   }
-  if (has_deployment_section) {
-    ArchitectureSpec arch;
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t capacity, GetVarint64(snapshot, &offset));
-    if (capacity > static_cast<uint64_t>(CapacityMode::kOnDemand)) {
-      return Status::Corruption("invalid capacity mode in snapshot");
-    }
-    arch.capacity = static_cast<CapacityMode>(capacity);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t shards, GetVarint64(snapshot, &offset));
-    arch.shards = static_cast<int>(shards);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t replicas, GetVarint64(snapshot, &offset));
-    arch.replicas = static_cast<int>(replicas);
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t lag, GetVarint64(snapshot, &offset));
-    arch.replication_lag = static_cast<Micros>(lag);
-    // Restoring into a different deployment shape would scatter items
-    // across the wrong physical tables; demand an exact match.
-    if (!(arch == env->deployment().spec())) {
-      return Status::InvalidArgument(
-          "snapshot architecture " + arch.Name() +
-          " does not match environment " + env->deployment().spec().Name());
-    }
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t watermark_count,
-                            GetVarint64(snapshot, &offset));
-    for (uint64_t i = 0; i < watermark_count; ++i) {
-      WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(snapshot, &offset));
-      WEBDEX_ASSIGN_OR_RETURN(uint64_t at, GetVarint64(snapshot, &offset));
-      env->deployment().RestoreWatermark(table, static_cast<Micros>(at));
-    }
-    DynamoDb::OnDemandState ondemand;
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.write_ceiling,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.read_ceiling,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_write, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_read, GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(uint64_t window_start,
-                            GetVarint64(snapshot, &offset));
-    ondemand.window_start = static_cast<Micros>(window_start);
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.window_write_units,
-                            GetDouble(snapshot, &offset));
-    WEBDEX_ASSIGN_OR_RETURN(ondemand.window_read_units,
-                            GetDouble(snapshot, &offset));
-    if (arch.capacity == CapacityMode::kOnDemand) {
-      env->dynamodb().RestoreOnDemand(ondemand);
-    }
+  arch.capacity = static_cast<CapacityMode>(capacity);
+  WEBDEX_ASSIGN_OR_RETURN(arch.shards, GetInt(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(arch.replicas, GetInt(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t lag, GetVarint64(snapshot, &offset));
+  arch.replication_lag = static_cast<Micros>(lag);
+  // Restoring into a different deployment shape would scatter items
+  // across the wrong physical tables; demand an exact match.
+  if (!(arch == env->deployment().spec())) {
+    return Status::InvalidArgument(
+        "snapshot architecture " + arch.Name() +
+        " does not match environment " + env->deployment().spec().Name());
+  }
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t watermark_count,
+                          GetCount(snapshot, &offset));
+  for (uint64_t i = 0; i < watermark_count; ++i) {
+    WEBDEX_ASSIGN_OR_RETURN(std::string table, GetString(snapshot, &offset));
+    WEBDEX_ASSIGN_OR_RETURN(uint64_t at, GetVarint64(snapshot, &offset));
+    env->deployment().RestoreWatermark(table, static_cast<Micros>(at));
+  }
+  DynamoDb::OnDemandState ondemand;
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.write_ceiling, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.read_ceiling, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_write, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.peak_read, GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(uint64_t ondemand_window,
+                          GetVarint64(snapshot, &offset));
+  ondemand.window_start = static_cast<Micros>(ondemand_window);
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.window_write_units,
+                          GetDouble(snapshot, &offset));
+  WEBDEX_ASSIGN_OR_RETURN(ondemand.window_read_units,
+                          GetDouble(snapshot, &offset));
+  if (arch.capacity == CapacityMode::kOnDemand) {
+    env->dynamodb().RestoreOnDemand(ondemand);
   }
   if (offset != snapshot.size()) {
     return Status::Corruption("trailing bytes in snapshot");

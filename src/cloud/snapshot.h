@@ -9,27 +9,30 @@
 namespace webdex::cloud {
 
 /// Persistence for the simulated region's *durable* state: every S3
-/// bucket/object and every DynamoDB / SimpleDB table/item, in a
-/// versioned binary format (varint-framed, corruption-checked).
+/// bucket/object and DynamoDB / SimpleDB table/item, plus the chaos,
+/// maintenance, autoscaler and deployment state that must survive with
+/// them, in one checksummed binary format (snapshot.cc); images of
+/// older format versions are refused.
 ///
 /// Rationale: real S3/DynamoDB state survives while EC2 fleets come and
 /// go; snapshots give the simulator the same property across process
 /// runs, so a corpus indexed once in `webdex_cli` can be reopened later
-/// ("save"/"restore").  Version 2 additionally rounds-trips the chaos
-/// state — FaultInjector stream cursors and circuit-breaker trackers —
-/// so a resumed faulted run draws the identical continuation of its
-/// fault schedule (docs/FAULTS.md).  Ephemeral state — virtual clocks,
-/// queue contents, usage meters — is intentionally *not* saved: it
-/// belongs to the fleet/session, not to the durable stores.
+/// ("save"/"restore"), and a resumed faulted run draws the identical
+/// continuation of its fault schedule (docs/FAULTS.md).  Ephemeral
+/// state — virtual clocks, queue contents, usage meters — is
+/// intentionally *not* saved: it belongs to the fleet/session, not to
+/// the durable stores.
 
 /// Serializes the durable state of `env` into a byte string.
 std::string SerializeSnapshot(CloudEnv& env);
 
 /// Restores a serialized snapshot into `env`, which must be freshly
 /// constructed (no buckets or tables).  Fails with Corruption on any
-/// malformed input, including an item its store's own validation refuses,
-/// and with AlreadyExists if `env` is not empty.
-Status RestoreSnapshot(const std::string& snapshot, CloudEnv* env);
+/// image it cannot restore — a retired or unknown format version, a
+/// checksum mismatch, malformed sections, or an item its store's own
+/// validation refuses — with AlreadyExists if `env` is not empty, and
+/// with InvalidArgument if the image's architecture differs from `env`'s.
+Status RestoreSnapshot(const std::string& image, CloudEnv* env);
 
 /// File-based convenience wrappers.
 Status SaveSnapshotFile(CloudEnv& env, const std::string& path);

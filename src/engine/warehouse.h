@@ -296,7 +296,7 @@ class Warehouse {
   /// documents to canonical generation-0 postings; otherwise only
   /// superseded generations and collected tombstones are dropped.
   /// Resumes from the cursor checkpointed in the cloud's maintenance
-  /// state (snapshot v3), so a crash mid-pass — planned via CrashPoint
+  /// state (in the snapshot), so a crash mid-pass — planned via CrashPoint
   /// kMidCompaction — picks up at the URI boundary after restore.
   /// FailedPrecondition on a warehouse without an index.
   Result<MaintenanceReport> Compact(bool full);
@@ -367,7 +367,7 @@ class Warehouse {
   Result<Maintenance> MaintenanceWalker(const char* job);
 
   /// Allocates the next mutation generation from the cloud's maintenance
-  /// watermark (monotone, persisted by snapshot v3).
+  /// watermark (monotone, persisted by the snapshot).
   uint64_t AllocateGeneration();
 
   /// Publishes a copy-on-write update of the generation view: the

@@ -5,7 +5,7 @@
 // the paper's default single-table deployment.  Only Usage, latency and
 // dollars may differ.  The contract must survive chaos (a faulted
 // sharded+replicated run converges to its own fault-free state), host
-// parallelism, and a snapshot v5 crash/restore cycle.
+// parallelism, and a snapshot crash/restore cycle.
 
 #include <gtest/gtest.h>
 
@@ -120,7 +120,7 @@ TEST(DeploymentTest, DefaultSpecKeepsPhysicalNamesIdentical) {
   EXPECT_EQ(deployment.ShardFor("any-key"), 0);
   EXPECT_EQ(deployment.PhysicalTables("idx-lup"),
             std::vector<std::string>{"idx-lup"});
-  EXPECT_TRUE(deployment.spec().IsDefault());
+  EXPECT_TRUE(deployment.spec() == ArchitectureSpec{});
   EXPECT_EQ(deployment.spec().Name(), "prov-s1-r0");
 }
 
@@ -354,7 +354,7 @@ TEST(ArchitectureTest, FaultFreeCreateTableIsFreeAndInstant) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot v5: deployment state is durable, restore validates the shape.
+// Snapshot: deployment state is durable, restore validates the shape.
 
 TEST(ArchitectureTest, SnapshotV5RoundTripsShardedReplicatedState) {
   const ArchitectureSpec arch = Arch(CapacityMode::kProvisioned, 4, 2);
@@ -376,7 +376,7 @@ TEST(ArchitectureTest, SnapshotV5RoundTripsShardedReplicatedState) {
   ASSERT_FALSE(env->deployment().watermarks().empty());
 
   const std::string snapshot = SerializeSnapshot(*env);
-  EXPECT_EQ(snapshot.substr(0, 8), "WDXSNAP5");
+  EXPECT_EQ(snapshot.substr(0, 8), "WDXSNAP6");
 
   cloud::CloudConfig restored_config;
   restored_config.arch = arch;
@@ -393,7 +393,7 @@ TEST(ArchitectureTest, SnapshotV5RoundTripsShardedReplicatedState) {
 }
 
 TEST(ArchitectureTest, SnapshotRestoreRejectsArchitectureMismatch) {
-  // v5 image of a sharded environment cannot restore into the default
+  // The image of a sharded environment cannot restore into the default
   // one, and vice versa.
   cloud::CloudConfig sharded_config;
   sharded_config.arch = Arch(CapacityMode::kProvisioned, 4, 0);
@@ -412,15 +412,6 @@ TEST(ArchitectureTest, SnapshotRestoreRejectsArchitectureMismatch) {
   cloud::CloudEnv fresh_ondemand(other_config);
   EXPECT_TRUE(
       RestoreSnapshot(default_image, &fresh_ondemand).IsInvalidArgument());
-
-  // Pre-v5 legacy images carry no spec and assume the default layout.
-  const std::string v1 = std::string("WDXSNAP1") + std::string(6, '\0');
-  cloud::CloudEnv legacy_default;
-  EXPECT_TRUE(RestoreSnapshot(v1, &legacy_default).ok());
-  cloud::CloudConfig sharded_config2;
-  sharded_config2.arch = Arch(CapacityMode::kProvisioned, 4, 0);
-  cloud::CloudEnv legacy_sharded(sharded_config2);
-  EXPECT_TRUE(RestoreSnapshot(v1, &legacy_sharded).IsInvalidArgument());
 }
 
 TEST(ArchitectureTest, SnapshotV5RoundTripsOnDemandCeilings) {

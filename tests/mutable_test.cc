@@ -2,7 +2,7 @@
 // any interleaving of upserts, deletes and compaction — under a seeded
 // FaultPlan of transient service faults, duplicate/delayed deliveries
 // and instance crashes, including a *planned* mid-compaction crash with
-// a snapshot-v3 save/restore in the middle — must converge to index
+// a snapshot save/restore in the middle — must converge to index
 // tables and a document bucket byte-identical to a from-scratch build of
 // the final corpus, answering queries identically, at a strictly higher
 // bill than the fault-free incremental run.  And as everywhere else in
@@ -205,7 +205,7 @@ struct RunOptions {
 /// another GC pass (mutations in flight while the compactor runs), index,
 /// then fully compact.  The faulted variant runs it all under
 /// MutableChaosPlan and cuts the full compaction short with a planned
-/// crash, saves a v3 snapshot, restores it into a fresh CloudEnv, and
+/// crash, saves a snapshot, restores it into a fresh CloudEnv, and
 /// resumes from the durable cursor.
 Fingerprint RunIncremental(const RunOptions& opt) {
   const Schedule schedule = MakeSchedule(opt.schedule_seed);
@@ -252,7 +252,7 @@ Fingerprint RunIncremental(const RunOptions& opt) {
     fp.crashed_pass = pass.value().crashed;
     fp.resume_cursor = env->maintenance().compact_cursor;
     // The crash killed the front end mid-maintenance: persist the cloud
-    // (v3 carries the compaction cursor and generation watermark), bill
+    // (it carries the compaction cursor and generation watermark), bill
     // the dead deployment, and bring up a fresh facade on the restored
     // state.
     const std::string snapshot = cloud::SerializeSnapshot(*env);

@@ -12,8 +12,7 @@
 //     without perturbing the bit-identical rows of admitted queries;
 //   * the reactive autoscaler follows the load between its bounds,
 //     deterministically in virtual time (serial == host-parallel), and
-//     its control-loop state survives a snapshot v4 round trip with
-//     v1-v3 images still restorable.
+//     its control-loop state survives a snapshot round trip.
 
 #include <gtest/gtest.h>
 
@@ -623,7 +622,7 @@ TEST(OverloadTest, SnapshotRoundTripsAutoscalerState) {
 
   const std::string snapshot = SerializeSnapshot(env);
   ASSERT_GE(snapshot.size(), 8u);
-  EXPECT_EQ(snapshot.substr(0, 8), "WDXSNAP5");
+  EXPECT_EQ(snapshot.substr(0, 8), "WDXSNAP6");
 
   cloud::CloudEnv restored(config);
   ASSERT_TRUE(RestoreSnapshot(snapshot, &restored).ok());
@@ -645,37 +644,31 @@ TEST(OverloadTest, SnapshotRoundTripsAutoscalerState) {
   EXPECT_EQ(SerializeSnapshot(restored), snapshot);
 }
 
-TEST(OverloadTest, LegacySnapshotVersionsStillRestore) {
-  // A fresh environment serializes to the minimal v5 image: magic, the
-  // twenty zero bytes of the v4 sections (6 store varints, 2 chaos
-  // counts, empty cursor + watermark, 10 zeroed autoscaler fields), then
-  // the default deployment section.
+TEST(OverloadTest, FreshSnapshotLayoutIsPinned) {
+  // A fresh environment serializes to the minimal image: magic, the
+  // twenty zero bytes of the store, chaos, maintenance and autoscaler
+  // sections (6 store varints, 2 chaos counts, empty cursor + watermark,
+  // 10 zeroed autoscaler fields), the default deployment section, then
+  // the checksum trailer.
   cloud::CloudEnv fresh;
-  std::string expected = std::string("WDXSNAP5") + std::string(20, '\0');
+  std::string expected = std::string("WDXSNAP6") + std::string(20, '\0');
   expected += '\0';            // capacity: provisioned
   expected += '\x01';          // 1 shard
   expected += '\0';            // 0 replicas
   expected += "\xa0\xc2\x1e";  // 500 ms replication lag, varint-coded
   // No watermarks + 7 zeroed on-demand fields.
   expected += std::string(8, '\0');
+  // FNV-1a 64 of the 42 bytes above, little-endian.
+  expected += "\x67\xfc\x02\x8d\xf4\x1e\xc6\x67";
   EXPECT_EQ(SerializeSnapshot(fresh), expected);
 
-  // Minimal legacy images: each version's sections, all empty.
-  const std::string v1 = std::string("WDXSNAP1") + std::string(6, '\0');
-  const std::string v2 = std::string("WDXSNAP2") + std::string(8, '\0');
-  const std::string v3 = std::string("WDXSNAP3") + std::string(10, '\0');
-  const std::string v4 = std::string("WDXSNAP4") + std::string(20, '\0');
-  for (const std::string& image : {v1, v2, v3, v4}) {
-    cloud::CloudEnv restored;
-    ASSERT_TRUE(RestoreSnapshot(image, &restored).ok())
-        << "version tag " << image.substr(0, 8);
-    EXPECT_TRUE(restored.dynamodb().Empty());
-    // The autoscaler section was absent: the control loop starts fresh.
-    EXPECT_EQ(restored.autoscaler().state().started, 0u);
-  }
-  // Trailing garbage is still rejected on every path.
+  cloud::CloudEnv restored;
+  ASSERT_TRUE(RestoreSnapshot(expected, &restored).ok());
+  EXPECT_EQ(restored.autoscaler().state().started, 0u);
+  EXPECT_EQ(SerializeSnapshot(restored), expected);
+  // Trailing garbage is rejected.
   cloud::CloudEnv reject;
-  EXPECT_TRUE(RestoreSnapshot(v3 + "x", &reject).IsCorruption());
+  EXPECT_TRUE(RestoreSnapshot(expected + "x", &reject).IsCorruption());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "cloud/snapshot.h"
+#include "common/rng.h"
+#include "common/varint.h"
 #include "engine/warehouse.h"
 #include "xmark/paintings.h"
 
@@ -12,6 +14,32 @@ namespace webdex::cloud {
 namespace {
 
 class Agent : public SimAgent {};
+
+/// Appends the trailer SerializeSnapshot ends an image with: FNV-1a 64 of
+/// every byte before it, little-endian.  Crafted and tampered images are
+/// sealed with it so that they reach the section decoders.
+std::string Seal(std::string body) {
+  const uint64_t checksum = Fnv1a64(body);
+  for (int i = 0; i < 8; ++i) {
+    body.push_back(static_cast<char>(checksum >> (8 * i)));
+  }
+  return body;
+}
+
+/// `image` with its trailer recomputed over its (edited) body.
+std::string Reseal(const std::string& image) {
+  return Seal(image.substr(0, image.size() - 8));
+}
+
+/// Flips bit `bit` of `image` and expects the result to be refused.
+void ExpectFlipRejected(const std::string& image, uint64_t bit) {
+  std::string flipped = image;
+  flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+  CloudEnv target;
+  const Status status = RestoreSnapshot(flipped, &target);
+  EXPECT_TRUE(status.IsCorruption()) << "bit " << bit << ": "
+                                     << status.ToString();
+}
 
 TEST(SnapshotTest, EmptyEnvironmentRoundTrips) {
   CloudEnv env;
@@ -73,7 +101,8 @@ TEST(SnapshotTest, EmptyTablesSurvive) {
 TEST(SnapshotTest, RejectsGarbageAndTruncation) {
   CloudEnv empty;
   EXPECT_TRUE(RestoreSnapshot("", &empty).IsCorruption());
-  EXPECT_TRUE(RestoreSnapshot("NOTASNAP", &empty).IsCorruption());
+  EXPECT_EQ(RestoreSnapshot("NOTASNAP", &empty).message(),
+            "not a webdex snapshot");
 
   CloudEnv env;
   Agent agent;
@@ -123,11 +152,13 @@ TEST(SnapshotTest, RejectsDuplicateAndUnorderedItems) {
     std::string image = snapshot;
     image.replace(at, items.size(), tampered);
     CloudEnv target;
-    EXPECT_TRUE(RestoreSnapshot(image, &target).IsCorruption());
+    EXPECT_EQ(RestoreSnapshot(Reseal(image), &target).message(),
+              "snapshot items duplicated or out of order");
   }
 }
 
-/// Replaces the single occurrence of `record` in `snapshot` by `tampered`.
+/// Replaces the single occurrence of `record` in `snapshot` by `tampered`
+/// and reseals the image, so only the item decoder can refuse it.
 std::string Tamper(const std::string& snapshot, const std::string& record,
                    const std::string& tampered) {
   const size_t at = snapshot.find(record);
@@ -135,7 +166,7 @@ std::string Tamper(const std::string& snapshot, const std::string& record,
   EXPECT_EQ(snapshot.find(record, at + 1), std::string::npos);
   std::string image = snapshot;
   if (at != std::string::npos) image.replace(at, record.size(), tampered);
-  return image;
+  return Reseal(image);
 }
 
 // Restore holds items to the live store's own validation: a SimpleDB
@@ -268,7 +299,7 @@ TEST(SnapshotTest, RestoredWarehouseRebuildsPlannerStatistics) {
   }
 }
 
-// Version 2 rounds-trips the chaos state: injector stream cursors and
+// The chaos state round-trips: injector stream cursors and
 // circuit-breaker trackers survive, so the whole snapshot re-serializes
 // byte-identically from the restored environment.
 TEST(SnapshotTest, ChaosStateRoundTripsByteIdentically) {
@@ -300,20 +331,110 @@ TEST(SnapshotTest, ChaosStateRoundTripsByteIdentically) {
   EXPECT_EQ(SerializeSnapshot(restored), snapshot);
 }
 
-// Version-1 snapshots (no chaos sections) still restore; the chaos state
-// simply starts fresh.
-TEST(SnapshotTest, LegacyV1SnapshotsStillRestore) {
-  // A minimal v1 image: magic plus six zero varints (no buckets, no
-  // objects, empty DynamoDB and SimpleDB sections).
-  std::string v1 = "WDXSNAP1";
-  v1.append(6, '\0');
+// Images of the retired format versions are refused by name, so an old
+// file reads as outdated rather than as damage; nothing is restored.
+TEST(SnapshotTest, RefusesRetiredFormatByVersion) {
+  // The image a fresh environment serialized to under version 5.
+  const std::string v5 = std::string("WDXSNAP5") + std::string(20, '\0') +
+                         std::string("\0\x01\0\xa0\xc2\x1e", 6) +
+                         std::string(8, '\0');
+  CloudEnv target;
+  const Status status = RestoreSnapshot(v5, &target);
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_EQ(status.message(),
+            "snapshot format WDXSNAP5 is no longer supported");
+  EXPECT_TRUE(target.s3().Empty());
+  // A version this build never wrote is not a snapshot at all.
+  EXPECT_EQ(RestoreSnapshot(Reseal("WDXSNAP7" + v5.substr(8)), &target)
+                .message(),
+            "not a webdex snapshot");
+}
+
+// Crafted images with a correct trailer still reach the decoders, which
+// must refuse them promptly.  A string length that wraps the read offset
+// around (back to the end of the magic) is truncation, not a rewind.
+TEST(SnapshotTest, RejectsWrappingStringLength) {
+  std::string body = "WDXSNAP6";
+  // One bucket, whose name length is a 10-byte varint: offset 19 +
+  // length == 8 (mod 2^64).
+  body += '\x01';
+  PutVarint64(&body, ~uint64_t{0} - 10);
+  body += std::string(4, '\0');
+  CloudEnv target;
+  EXPECT_EQ(RestoreSnapshot(Seal(body), &target).message(),
+            "truncated string in snapshot");
+  // Refused before the bucket is restored, not after a rewound re-read.
+  EXPECT_TRUE(target.s3().BucketNames().empty());
+
+  // 2^40 buckets whose name length wraps the offset back to itself
+  // (offset 24 + length == 14, the length's own first byte), so every
+  // bucket would re-read it: the count is refused before the loop.
+  std::string looping = "WDXSNAP6";
+  PutVarint64(&looping, uint64_t{1} << 40);
+  PutVarint64(&looping, ~uint64_t{0} - 9);
+  CloudEnv looping_target;
+  EXPECT_EQ(RestoreSnapshot(Seal(looping), &looping_target).message(),
+            "element count overruns snapshot");
+}
+
+// An element count is checked against the bytes left before anything is
+// reserved or looped over: 2^62 fault streams cannot fit in the image.
+TEST(SnapshotTest, RejectsCountBeyondImage) {
+  std::string body = "WDXSNAP6" + std::string(6, '\0');  // empty stores
+  PutVarint64(&body, uint64_t{1} << 62);
+  body += std::string(30, '\0');
+  CloudEnv target;
+  EXPECT_EQ(RestoreSnapshot(Seal(body), &target).message(),
+            "element count overruns snapshot");
+}
+
+// An int field above INT_MAX is refused, not truncated: 2^32 + 1 shards
+// would otherwise restore as the single shard of the default deployment.
+TEST(SnapshotTest, RejectsIntFieldBeyondRange) {
+  CloudEnv env;
+  const std::string image = SerializeSnapshot(env);
+  const std::string deployment("\0\x01\0\xa0\xc2\x1e", 6);
+  ASSERT_EQ(image.substr(28, 6), deployment);
+  std::string body = image.substr(0, 29);
+  PutVarint64(&body, (uint64_t{1} << 32) + 1);
+  body += image.substr(30, image.size() - 38);
+  CloudEnv target;
+  EXPECT_EQ(RestoreSnapshot(Seal(body), &target).message(),
+            "int field out of range in snapshot");
+}
+
+// The trailer rejects every single-bit flip of an image: one in the
+// magic changes or retires the version, one anywhere else breaks the
+// checksum.  The unflipped image restores and re-serializes unchanged.
+TEST(SnapshotTest, EveryBitFlipOfAFreshImageIsRejected) {
+  CloudEnv env;
+  const std::string image = SerializeSnapshot(env);
+  for (uint64_t bit = 0; bit < image.size() * 8; ++bit) {
+    ExpectFlipRejected(image, bit);
+  }
   CloudEnv restored;
-  ASSERT_TRUE(RestoreSnapshot(v1, &restored).ok());
-  EXPECT_TRUE(restored.s3().Empty());
-  EXPECT_TRUE(restored.dynamodb().Empty());
-  EXPECT_TRUE(restored.fault_injector().SaveStreams().empty());
-  CloudEnv fresh;
-  EXPECT_TRUE(RestoreSnapshot(v1 + "x", &fresh).IsCorruption());
+  ASSERT_TRUE(RestoreSnapshot(image, &restored).ok());
+  EXPECT_EQ(SerializeSnapshot(restored), image);
+}
+
+TEST(SnapshotTest, SeededBitFlipsOfAnIndexedImageAreRejected) {
+  CloudEnv env;
+  engine::WarehouseConfig config;
+  config.strategy = index::StrategyKind::kLUP;
+  engine::Warehouse warehouse(&env, config);
+  ASSERT_TRUE(warehouse.Setup().ok());
+  for (const auto& doc : xmark::GeneratePaintings()) {
+    ASSERT_TRUE(warehouse.SubmitDocument(doc.uri, doc.text).ok());
+  }
+  ASSERT_TRUE(warehouse.RunIndexers().ok());
+  const std::string image = SerializeSnapshot(env);
+  Rng rng(16);
+  for (int flip = 0; flip < 1000; ++flip) {
+    ExpectFlipRejected(image, rng.NextBelow(image.size() * 8));
+  }
+  CloudEnv restored;
+  ASSERT_TRUE(RestoreSnapshot(image, &restored).ok());
+  EXPECT_EQ(SerializeSnapshot(restored), image);
 }
 
 // The point of saving chaos state: a faulted run snapshotted mid-way and
